@@ -135,7 +135,6 @@ def registered_rules() -> dict[str, RuleSpec]:
         rules_obs,
         rules_parallel,
         rules_resource,
-        rules_rng,
         rules_serve,
     )
 

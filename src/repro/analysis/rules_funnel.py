@@ -24,7 +24,7 @@ event* when it calls ``self.complete``/``self._complete`` (or a local
 the flight moves to the replay queue or a worker, which now owns
 completing it), or calls a sibling executor whose own analysis proves
 it completes on every path (the one-level call summary — this is what
-lets ``_execute_batch`` delegate to ``_run_single``). The method is
+lets ``_execute_batch`` delegate to ``_run_unit``). The method is
 clean when no path from entry to the *normal* exit avoids every event;
 paths to the raise exit are legal (an escaping exception is the
 dispatcher's problem, and re-raising is the documented alternative to

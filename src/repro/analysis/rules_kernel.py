@@ -33,7 +33,7 @@ HOT_NAMES = {
     # miss path is the one sanctioned allocation site, and it lives in
     # encode_b, outside these functions)
     "acquire",
-    "_consult_cache",
+    "panels_for",
     # the non-GEMM kernel family's per-iteration loops: the FFT stage
     # loop (its checkpoint buffer is preallocated), the blocked TRSM
     # diagonal sweep, and the DMR solve it calls per block

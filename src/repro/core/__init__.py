@@ -17,7 +17,6 @@ from repro.core.parallel import ParallelFTGemm
 from repro.core.verification import ChecksumLedger, Verifier, ledger_from_state
 from repro.core.supervisor import EscalationSupervisor, RecoveryReport, RecoveryRound
 from repro.core.dmr import dmr_scale
-from repro.core.batched import BatchedResult, ft_gemm_batched
 
 __all__ = [
     "FTGemmConfig",
@@ -32,6 +31,4 @@ __all__ = [
     "RecoveryReport",
     "RecoveryRound",
     "dmr_scale",
-    "BatchedResult",
-    "ft_gemm_batched",
 ]

@@ -14,13 +14,13 @@ checksums amortize, DMR where they cannot):
 kernel      protection            substrate
 ==========  ====================  =====================================
 ``gemm``    fused ABFT            :class:`~repro.core.ftgemm.FTGemm`
-                                  (unchanged — the serving hot path
-                                  never routes GEMM through here)
+                                  (the serving tiers' cached drivers
+                                  and panel cache, or a fresh driver)
 ``gemv``    ABFT + weighted       :func:`repro.blas.level2.ft_gemv`
             localization
 ``trsm``    DMR diagonal solves   :func:`repro.blas.level3_solve.ft_trsm`
             + ABFT trailing GEMM
-``fft``     per-stage dual        :mod:`repro.kernels.fft` (new)
+``fft``     per-stage weighted    :mod:`repro.kernels.fft` (new)
             checksums over the
             butterfly stages
 ==========  ====================  =====================================

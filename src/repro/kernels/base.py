@@ -15,7 +15,9 @@ end to end:
   :class:`~repro.faults.injector.InjectionPlan` over those slots (the
   exact idiom of :func:`repro.faults.campaign.plan_for_gemm`);
 - **execution ladder** — :meth:`ProtectedKernel.run` executes under an
-  optional injector with the kernel's own in-call protection (ABFT
+  optional injector (and, when a serving tier calls it, the worker's
+  ``engines`` cache — :class:`repro.serve.execute.Worker`; only GEMM
+  draws on it) with the kernel's own in-call protection (ABFT
   correction, DMR compare), then applies an *independent* verification
   probe (:meth:`ProtectedKernel.verify`), and — unless the batch runs
   degraded — escalates an unverified result to an injector-free DMR
@@ -24,7 +26,12 @@ end to end:
   unverified surfaces with ``verified=False`` and the pool's retry loop
   owns recovery, exactly as for GEMM;
 - **oracle** — :meth:`ProtectedKernel.oracle` computes the trusted NumPy
-  answer for the workload auditor.
+  answer for the workload auditor;
+- **batching** — :meth:`ProtectedKernel.stack` merges a coalescible
+  bucket into one request (GEMM only) and
+  :meth:`ProtectedKernel.with_value` rebinds a result to a new array
+  (the row slices of a stacked product, or the array the process tier
+  fetched back from shared memory).
 
 Tracing: ``run`` emits ``kernel.<name>.execute`` / ``.verify`` /
 ``.escalate`` spans on the caller's lane when handed a tracer — they nest
@@ -33,7 +40,7 @@ inside the worker's ``serve.batch`` span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -161,6 +168,7 @@ class ProtectedKernel:
         degraded: bool = False,
         tracer=None,
         tid: int = 0,
+        engines=None,
     ) -> KernelResult:
         """Execute the protected routine, probe, escalate if needed."""
         raise NotImplementedError
@@ -187,6 +195,16 @@ class ProtectedKernel:
         CLI's standalone campaigns and the determinism grids build their
         requests here so every caller agrees on the operand RNG order."""
         raise NotImplementedError
+
+    # --------------------------------------------------------------- batching
+    def stack(self, requests, request_id: str):
+        """One request computing every request of a coalescible bucket
+        (only GEMM buckets are stackable — see ``KernelRequest.bucket``)."""
+        raise NotImplementedError(f"{self.name} requests do not stack")
+
+    def with_value(self, result, value, request_id: str | None):
+        """``result`` rebound to ``value`` under ``request_id``."""
+        return replace(result, value=value, request_id=request_id)
 
     # -------------------------------------------------------------- internals
     def _ladder(

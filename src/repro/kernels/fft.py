@@ -21,11 +21,16 @@ actual ``w1 . out`` after. A single corrupted output element ``p`` (bit
 flip in its real or imaginary float) leaves residuals ``r1 = w1[p]*d``
 and ``r2 = w2[p]*d``, so the ratio ``r2/r1 = w2[p]/w1[p] = p+1``
 localizes it — the 1-D twin of FT-GEMM's row/column intersection — and
-``out[p] -= r1/w1[p]`` repairs it in place. Multi-error patterns (burst
-models, weight-side corruption) recompute the stage from its retained
-input, which never revisits the injector, so even a *sticky* fault
-converges: each later stage pays one detect+repair and the final
-spectrum is clean.
+``out[p] -= r1/w1[p]`` repairs it in place. Two checksums can locate one
+error but cannot rule out two: an equal-and-opposite pair at ``a`` and
+``b`` leaves residuals ``d(a-b) * (1, a+b)``, exactly what a single error
+at ``a+b`` leaves. So every repair must also close a third checksum
+``w3 = (1..N)^3``, on which the pair leaves ``-d(a-b)ab`` after any
+single-element repair; a repair that fails it is undone. Multi-error
+patterns (burst models, weight-side corruption) recompute the stage from
+its retained input, which never revisits the injector, so even a
+*sticky* fault converges: each later stage pays one detect+repair and
+the final spectrum is clean.
 
 The injector hook is the ``fft_stage`` site — one invocation per stage,
 visiting the stage output through a float64 view (so the standard
@@ -100,8 +105,8 @@ def ft_fft(x, *, injector=None) -> BlasResult:
 
     Per stage: predict dual weighted checksums from the stage input,
     run the butterflies, visit the injector, verify; localize+repair a
-    single error by residual ratio, recompute the stage from its
-    retained input otherwise.
+    single error by residual ratio (kept only when the ``w3`` checksum
+    closes too), recompute the stage from its retained input otherwise.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -114,6 +119,7 @@ def ft_fft(x, *, injector=None) -> BlasResult:
 
     w1 = np.arange(1.0, n + 1.0).astype(np.complex128)
     w2 = (np.arange(1.0, n + 1.0) ** 2).astype(np.complex128)
+    w3 = (np.arange(1.0, n + 1.0) ** 3).astype(np.complex128)
     data = x[_bit_reverse_indices(n)].astype(np.complex128)
     # stage-input checkpoint, reused across stages (the stage loop is an
     # analyzer-watched hot loop: no per-iteration allocation)
@@ -151,8 +157,17 @@ def ft_fft(x, *, injector=None) -> BlasResult:
                 and abs(ratio - p) <= 1e-6 * max(1.0, abs(p))
             ):
                 data[p - 1] -= r1 / w1[p - 1]
-                # re-verify the repair against the same predictions
-                if abs((w1 @ data) - pred1) <= env:
+                # re-verify the repair against w1 and against w3, predicted
+                # from the retained stage input (only repairs pay for it)
+                pred3 = _fold_weights(w3, i_idx, j_idx, tw) @ before
+                env3 = 64.0 * EPS * n * (
+                    float(np.abs(w3) @ (np.abs(data) + np.abs(before)))
+                    + _TINY
+                )
+                if (
+                    abs((w1 @ data) - pred1) <= env
+                    and abs((w3 @ data) - pred3) <= env3
+                ):
                     result.corrected += 1
                     repaired = True
                 else:
@@ -190,7 +205,7 @@ class FftKernel(ProtectedKernel):
 
     # -------------------------------------------------------------- execution
     def run(self, request, *, injector=None, degraded: bool = False,
-            tracer=None, tid: int = 0) -> KernelResult:
+            tracer=None, tid: int = 0, engines=None) -> KernelResult:
         t0 = tracer.now_us() if tracer is not None else 0.0
         blas = ft_fft(request.x, injector=injector)
         spectrum = blas.value

@@ -1,16 +1,18 @@
 """GemmKernel: the registry face of the existing FT-GEMM drivers.
 
-The serving hot path does **not** route GEMM through this class — the
-worker pools dispatch GEMM batches straight to their per-worker cached
-:class:`~repro.core.ftgemm.FTGemm` / ParallelFTGemm drivers exactly as
-before the kernel family broadened (coalesced stacking, panel cache,
-tuned-driver selection all live there). ``GemmKernel`` exists so the
-*rest* of the machinery treats GEMM uniformly: the mixed workload's
-oracle audit, the CLI's ``--kernel gemm`` campaigns, and the registry
-contract tests all go through the same interface as the other kernels.
+Both serving tiers run GEMM through this class like every other kernel
+(:mod:`repro.serve.execute`). What is GEMM-specific about serving lives
+here, in :meth:`GemmKernel.run` and :meth:`GemmKernel.stack`: the
+static-vs-tuned driver choice and the panel-cache consult (drawing on the
+worker's ``engines`` cache), and the stacking of a coalesced bucket into
+one product. Called without engines — the CLI's ``--kernel gemm``
+campaigns, the workload oracle audit, the registry contract tests — it
+runs a fresh :class:`~repro.core.ftgemm.FTGemm` driver.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from repro.core.ftgemm import FTGemm
 from repro.faults.campaign import plan_for_gemm, site_invocation_counts
 from repro.faults.models import FaultModel
 from repro.gemm.reference import gemm_reference
-from repro.kernels.base import KernelResult, ProtectedKernel
+from repro.kernels.base import ProtectedKernel
 
 
 class GemmKernel(ProtectedKernel):
@@ -56,21 +58,34 @@ class GemmKernel(ProtectedKernel):
 
     # -------------------------------------------------------------- execution
     def run(self, request, *, injector=None, degraded: bool = False,
-            tracer=None, tid: int = 0):
-        """Standalone execution through a fresh FTGemm driver (the pools
-        use their own cached drivers; this entry serves the CLI and
-        tests). Returns the driver's own FTGemmResult — duck-compatible
-        with :class:`KernelResult` where the serving layer looks
-        (``.c`` / ``.verified``)."""
-        ft = self.config.with_(checksum_scheme=request.scheme)
-        if degraded:
-            ft = ft.with_(
-                enable_supervisor=False,
-                recompute_fallback=False,
-                strict=False,
-            )
-        driver = FTGemm(ft)
+            tracer=None, tid: int = 0, engines=None):
+        """One protected GEMM; returns the driver's own FTGemmResult —
+        duck-compatible with :class:`KernelResult` where the serving layer
+        looks (``.c`` / ``.verified``).
+
+        With a serving worker's ``engines`` (cached drivers and panel
+        cache), a clean attempt runs the request's tuned driver on the
+        resident encoding of B. A faulted attempt runs the static driver
+        and never uses cached panels: fault plans derive their site
+        schedules from the static blocking, and the cache is never
+        consulted around a live injector.
+        """
         t0 = tracer.now_us() if tracer is not None else 0.0
+        packed = None
+        if engines is None:
+            ft = self.config.with_(checksum_scheme=request.scheme)
+            if degraded:
+                ft = ft.with_(
+                    enable_supervisor=False,
+                    recompute_fallback=False,
+                    strict=False,
+                )
+            driver = FTGemm(ft)
+        elif injector is not None:
+            driver = engines.driver_for(request.scheme, degraded)
+        else:
+            driver = engines.driver_for(request.scheme, degraded, request.tuned)
+            packed = engines.panels_for(request.b, request.tuned)
         c = request.c0.copy() if request.c0 is not None else None
         result = driver.gemm(
             request.a,
@@ -80,6 +95,7 @@ class GemmKernel(ProtectedKernel):
             beta=request.beta,
             injector=injector,
             request_id=request.request_id,
+            packed_b=packed,
         )
         if tracer is not None:
             tracer.complete(
@@ -140,7 +156,20 @@ class GemmKernel(ProtectedKernel):
             rng.standard_normal((m, k)), rng.standard_normal((k, n))
         )
 
+    # --------------------------------------------------------------- batching
+    def stack(self, requests, request_id: str):
+        """The A operands concatenated along M against the bucket's one B.
+        Stackable buckets have ``beta == 0``, so any C0 a member carries
+        never reaches the result and is dropped (the head's C0 would not
+        match the stacked row count)."""
+        return replace(
+            requests[0],
+            a=np.vstack([r.a for r in requests]),
+            c0=None,
+            request_id=request_id,
+        )
 
-#: retained for interface parity; nothing here converts GEMM results —
-#: the pools keep returning FTGemmResult untouched
-__all__ = ["GemmKernel", "KernelResult"]
+    def with_value(self, result, value, request_id: str | None):
+        # a slice or a shipped result carries no tracer: its spans belong
+        # to the whole call
+        return replace(result, c=value, request_id=request_id, trace=None)

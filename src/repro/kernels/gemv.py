@@ -42,7 +42,7 @@ class GemvKernel(ProtectedKernel):
 
     # -------------------------------------------------------------- execution
     def run(self, request, *, injector=None, degraded: bool = False,
-            tracer=None, tid: int = 0) -> KernelResult:
+            tracer=None, tid: int = 0, engines=None) -> KernelResult:
         t0 = tracer.now_us() if tracer is not None else 0.0
         y = request.y0.copy() if request.y0 is not None else None
         blas = ft_gemv(

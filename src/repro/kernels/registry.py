@@ -6,11 +6,10 @@ and extensions can add kernels; names are unique and immutable once
 taken (re-registering a name is a configuration error, not a silent
 replacement — the serving tiers cache routing decisions on the name).
 
-The registry is *not* on the GEMM hot path: the worker pools route GEMM
-batches straight to their cached FTGemm drivers on a plain string
-compare and only consult :func:`get_kernel` for the other kernels, so a
-GEMM-only service never pays a registry lookup (pinned by the A/B test,
-which poisons the registry and serves GEMM traffic unharmed).
+Both serving tiers resolve every execution unit, GEMM included, with one
+:func:`get_kernel` dict lookup (:mod:`repro.serve.execute`); the
+cross-tier differential test pins that both tiers answer alike through
+it.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ class TrsmKernel(ProtectedKernel):
 
     # -------------------------------------------------------------- execution
     def run(self, request, *, injector=None, degraded: bool = False,
-            tracer=None, tid: int = 0) -> KernelResult:
+            tracer=None, tid: int = 0, engines=None) -> KernelResult:
         t0 = tracer.now_us() if tracer is not None else 0.0
         blas = ft_trsm(
             request.a,

@@ -10,8 +10,11 @@ guarantee:
   (block / reject / shed-lowest) and deadline expiry;
 - :mod:`repro.serve.scheduler` — shape-coalescing batcher: compatible
   requests execute as one stacked product;
-- :mod:`repro.serve.pool` — supervised workers with retries, quarantine
-  and a degraded checksum-only mode under pressure;
+- :mod:`repro.serve.execute` — the execution core both tiers call: one
+  retry loop around the registry kernel, coalesced-batch stacking and
+  the per-worker engine cache;
+- :mod:`repro.serve.pool` — supervised workers with quarantine and a
+  degraded checksum-only mode under pressure;
 - :mod:`repro.serve.service` — the :class:`GemmService` facade wiring it
   together; :mod:`repro.serve.client` — the blocking convenience client;
 - :mod:`repro.serve.workload` — open-loop synthetic workloads with a
@@ -32,7 +35,8 @@ from repro.serve.request import (
     Ticket,
 )
 from repro.serve.scheduler import Batch, BatchScheduler, SchedulerStats
-from repro.serve.pool import Worker, WorkerPool
+from repro.serve.execute import Worker
+from repro.serve.pool import WorkerPool
 from repro.serve.service import GemmService, ServiceConfig
 from repro.serve.workload import (
     DEFAULT_SHAPES,

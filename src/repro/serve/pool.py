@@ -1,20 +1,24 @@
 """Supervised worker pool: execution, retries, quarantine, degraded mode.
 
-Each worker is an OS thread owning its own driver instances (``FTGemm``,
-or ``ParallelFTGemm`` when the service config asks for intra-request
-threading) — drivers are reusable but not reentrant, so nothing is shared
-between workers. Every driver runs with the escalation supervisor enabled:
-in-call recovery (correction, targeted recompute, repack, DMR) is the
-first line of defence and comes for free from the core layer.
+Each worker is an OS thread owning its own engine cache
+(:class:`~repro.serve.execute.Worker`: driver instances — ``FTGemm``, or
+``ParallelFTGemm`` when the service config asks for intra-request
+threading — plus the shared panel-cache consult); drivers are reusable
+but not reentrant, so nothing is shared between workers. Batches run
+through the execution core both tiers share (:mod:`repro.serve.execute`).
+Every driver runs with the escalation supervisor enabled: in-call
+recovery (correction, targeted recompute, repack, DMR) is the first line
+of defence and comes for free from the core layer.
 
 The pool adds the *service-level* resilience on top:
 
-- **retries with exponential backoff** — a batch whose execution raises
+- **retries with exponential backoff** (the shared core's
+  :func:`~repro.serve.execute.run`) — a unit whose execution raises
   (:class:`UncorrectableError`, or any unexpected exception from a faulty
   substrate) or returns unverified is re-executed up to ``retry_budget``
-  times, with ``backoff_base_s * 2**attempt`` sleeps between attempts;
-  fresh attempts rebuild all driver state, so transient poisonings do not
-  survive;
+  times, with ``backoff_base_s * 2**(attempt - 1)`` sleeps before each
+  retry; fresh attempts rebuild all driver state, so transient poisonings
+  do not survive;
 - **worker quarantine** — a worker whose batches keep failing
   (``quarantine_after`` consecutive failures) is presumed to sit on bad
   substrate (sticky faults the injector model makes persistent); it
@@ -36,89 +40,10 @@ from __future__ import annotations
 import threading
 import time
 
-import numpy as np
-
-from repro.core.ftgemm import FTGemm
-from repro.core.parallel import ParallelFTGemm
-from repro.core.results import FTGemmResult
-from repro.gemm.blocking import BlockingConfig
 from repro.obs.metrics import NULL_METRICS
+from repro.serve.execute import Worker, answers, run, units_of
 from repro.serve.request import GemmRequest, GemmResponse
 from repro.serve.scheduler import Batch, BatchScheduler
-from repro.util.errors import ReproError
-
-#: TEST-ONLY: when flipped on, the pool acquires its own lock and the
-#: scheduler's ready lock in opposite orders on the spawn and stop paths
-#: — a textbook lock-order inversion. It exists solely so the runtime
-#: sanitizer's cycle detector has a guaranteed-positive regression test
-#: (tests/test_sanitize.py); nothing in the product sets it.
-SEED_LOCK_INVERSION = False
-
-
-def tuned_parts(tuned) -> tuple[BlockingConfig, int]:
-    """``(blocking, threads)`` of a resolved tuning-DB entry.
-
-    Accepts either the :class:`~repro.tune.db.TunedConfig` object the
-    thread tier carries on requests or the plain dict the proc tier ships
-    over its pipe — the serve layer stays structurally decoupled from the
-    tune package's types.
-    """
-    if hasattr(tuned, "blocking"):
-        return tuned.blocking(), max(1, int(getattr(tuned, "threads", 1) or 1))
-    blocking = BlockingConfig(
-        mc=int(tuned["mc"]),
-        kc=int(tuned["kc"]),
-        nc=int(tuned["nc"]),
-        mr=int(tuned.get("mr", 16)),
-        nr=int(tuned.get("nr", 14)),
-        dispatch=str(tuned.get("dispatch", "auto")),
-    )
-    return blocking, max(1, int(tuned.get("threads", 1) or 1))
-
-
-class Worker:
-    """Per-thread execution state: cached drivers and a failure streak."""
-
-    def __init__(self, index: int, service_config) -> None:
-        self.index = index
-        self.config = service_config
-        self.consecutive_failures = 0
-        self._drivers: dict[tuple, object] = {}
-
-    def driver_for(self, scheme: str, degraded: bool, tuned=None):
-        blocking = None
-        threads = self.config.gemm_threads
-        if tuned is not None:
-            blocking, threads = tuned_parts(tuned)
-        key = (
-            (scheme, degraded)
-            if blocking is None
-            else (scheme, degraded, blocking, threads)
-        )
-        driver = self._drivers.get(key)
-        if driver is None:
-            ft = self.config.ft.with_(checksum_scheme=scheme, strict=True)
-            if blocking is not None:
-                ft = ft.with_(blocking=blocking)
-            if degraded:
-                # checksum-only verification: no escalation ladder, no
-                # recompute fallback; unverified results surface (non-
-                # strict) and the retry path owns recovery
-                ft = ft.with_(
-                    enable_supervisor=False,
-                    recompute_fallback=False,
-                    strict=False,
-                )
-            if threads > 1:
-                driver = ParallelFTGemm(
-                    ft,
-                    n_threads=threads,
-                    backend=self.config.team_backend,
-                )
-            else:
-                driver = FTGemm(ft)
-            self._drivers[key] = driver
-        return driver
 
 
 class WorkerPool:
@@ -161,10 +86,6 @@ class WorkerPool:
             self._spawn()
 
     def _spawn(self) -> bool:
-        if SEED_LOCK_INVERSION:
-            with self._lock:
-                with self.scheduler._ready_lock:  # pool -> scheduler order
-                    pass
         with self._lock:
             if self._stopping:
                 return False
@@ -181,10 +102,6 @@ class WorkerPool:
         return True
 
     def stop(self, join: bool = True) -> None:
-        if SEED_LOCK_INVERSION:
-            with self.scheduler._ready_lock:
-                with self._lock:  # scheduler -> pool: inverts _spawn's order
-                    pass
         with self._lock:
             self._stopping = True
         if join:
@@ -202,7 +119,8 @@ class WorkerPool:
 
     # ------------------------------------------------------------ worker loop
     def _worker_loop(self, index: int) -> None:
-        worker = Worker(index, self.config)
+        worker = Worker(index, self.config, panel_cache=self.panel_cache,
+                        metrics=self.metrics)
         while True:
             batch = self.scheduler.next_batch(timeout=0.05)
             if batch is None:
@@ -274,17 +192,14 @@ class WorkerPool:
             self.metrics.inc("serve.degraded_batches")
         tr = self.tracer
         t0 = tr.now_us() if tr is not None else 0.0
-        if batch.coalesced:
-            ok = self._run_coalesced(worker, batch, degraded)
-        else:
-            # materialize before reducing: all() over a generator would
-            # short-circuit on the first failure and strand every later
-            # request in the batch without a response
-            results = [
-                self._run_single(worker, request, batch, degraded)
-                for request in batch.items
-            ]
-            ok = all(results)
+        # materialize before reducing: all() over a generator would
+        # short-circuit on the first failure and strand every later
+        # request in the batch without a response
+        results = [
+            self._run_unit(worker, batch, unit, members, degraded)
+            for unit, members in units_of(batch)
+        ]
+        ok = all(results)
         if tr is not None:
             tr.complete(
                 "serve.batch",
@@ -304,256 +219,46 @@ class WorkerPool:
         else:
             worker.consecutive_failures += 1
 
-    def _attempts(self, worker: Worker, shape, request_id: str, driver,
-                  run, kernel: str | None = None
-                  ) -> tuple[FTGemmResult | None, int, str]:
-        """Run ``run(injector)`` with retries; returns (result, attempts,
-        last error message).
+    def _run_unit(self, worker: Worker, batch: Batch, unit, members,
+                  degraded: bool) -> bool:
+        factory = self.injector_factory
 
-        ``kernel`` is forwarded to the injector factory as a fifth
-        positional argument *only* for the non-GEMM kernels — existing
-        four-argument factories (every pre-mixed-workload caller) keep
-        working unchanged, and GEMM fault plans stay byte-identical.
-        """
-        budget = self.config.retry_budget
-        error = ""
-        for attempt in range(budget + 1):
-            if attempt:
-                self.metrics.inc("serve.retries")
-                self.sleep(self.config.backoff_base_s * 2 ** (attempt - 1))
-            try:
-                injector = None
-                if self.injector_factory is not None:
-                    if kernel is None:
-                        injector = self.injector_factory(
-                            shape, attempt, request_id, self.config
-                        )
-                    else:
-                        injector = self.injector_factory(
-                            shape, attempt, request_id, self.config, kernel
-                        )
-                result = run(driver, injector)
-            except ReproError as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                continue
-            except Exception as exc:  # substrate fault models may raise
-                error = f"{type(exc).__name__}: {exc}"
-                continue
-            if result.verified:
-                return result, attempt + 1, ""
-            error = "verification failed"
-        return None, budget + 1, error
+        def injector_for(attempt):
+            if factory is None:
+                return None
+            return factory(unit.shape, attempt, unit.request_id,
+                           self.config, unit.kernel)
 
-    def _consult_cache(self, b, tuned=None):
-        """The admission-path cache consult: a verified resident encoding
-        of ``b``, or None (cache off, parallel drivers, or oversize).
-        Drivers with intra-request threads ignore packed panels — their
-        fail-stop recovery epochs rebuild every buffer from source — so
-        consulting would only burn encode work. A tuned entry keys the
-        cache under *its* blocking, so tuned and static encodings of the
-        same B coexist without ever cross-matching."""
-        cache = self.panel_cache
-        blocking = self.config.ft.blocking
-        threads = self.config.gemm_threads
-        if tuned is not None:
-            blocking, threads = tuned_parts(tuned)
-        if cache is None or threads > 1:
-            return None
-        return cache.acquire(b, blocking)
-
-    def _pick_drivers(self, worker: Worker, scheme: str, degraded: bool,
-                      tuned):
-        """(static driver, execution driver) for one batch.
-
-        Injected attempts always run on the static driver: fault campaign
-        plans derive their site/invocation schedules from the *static*
-        blocking, and re-deriving them per tuned config would silently
-        shift every scheduled fault. Clean attempts get the tuned driver.
-        """
-        static = worker.driver_for(scheme, degraded)
-        if tuned is None:
-            return static, static
-        self.metrics.inc("tune.applied")
-        return static, worker.driver_for(scheme, degraded, tuned=tuned)
-
-    def _run_coalesced(self, worker: Worker, batch: Batch,
-                       degraded: bool) -> bool:
-        head = batch.items[0]
-        tuned = head.tuned
-        driver, exec_driver = self._pick_drivers(
-            worker, head.scheme, degraded, tuned
+        outcome = run(
+            unit, worker, degraded=degraded, injector_for=injector_for,
+            sleep=self.sleep, tracer=self.tracer, tid=1000 + worker.index,
         )
-        a_stack = np.vstack([r.a for r in batch.items])
-        shape = (a_stack.shape[0], head.n, head.k)
-        packed = self._consult_cache(head.b, tuned)
-
-        def run(drv, injector):
-            # injected attempts decline both the cached panels and the
-            # tuned driver (the drv the retry loop hands back is the
-            # static one): campaigns keep exact schedules and the cache
-            # is never consulted around a live injector
-            use = exec_driver if injector is None else drv
-            return use.gemm(
-                a_stack,
-                head.b,
-                alpha=head.alpha,
-                injector=injector,
-                request_id=batch.batch_id,
-                packed_b=packed if injector is None else None,
-            )
-
-        result, attempts, error = self._attempts(
-            worker, shape, batch.batch_id, driver, run
-        )
-        if result is None:
-            for request in batch.items:
+        if outcome.result is None:
+            for request in members:
                 self.complete(
                     request,
                     GemmResponse(
                         request_id=request.request_id,
                         status="failed",
-                        error=error,
+                        error=outcome.error,
                         worker=worker.index,
-                        attempts=attempts,
+                        attempts=outcome.attempts,
                         batch_size=len(batch),
                         degraded=degraded,
                     ),
                 )
             return False
-        # split the stacked product back into per-request results; the
-        # evidence (counters, reports, recovery) is shared — it describes
-        # the one driver call that produced every slice
-        offset = 0
-        for request in batch.items:
-            c_slice = result.c[offset : offset + request.m]
-            offset += request.m
-            sliced = FTGemmResult(
-                c=c_slice,
-                counters=result.counters,
-                reports=result.reports,
-                verified=result.verified,
-                ft_enabled=result.ft_enabled,
-                recovery=result.recovery,
-                request_id=request.request_id,
-            )
+        for request, result in answers(unit, members, outcome.result):
             self.complete(
                 request,
                 GemmResponse(
                     request_id=request.request_id,
                     status="ok",
-                    result=sliced,
+                    result=result,
                     worker=worker.index,
-                    attempts=attempts,
+                    attempts=outcome.attempts,
                     batch_size=len(batch),
                     degraded=degraded,
                 ),
             )
-        return True
-
-    def _run_kernel(self, worker: Worker, request, batch: Batch,
-                    degraded: bool) -> bool:
-        """Non-GEMM execution: resolve the registry kernel and run it
-        under the same retry/degraded/injector envelope as GEMM. The
-        registry import lives here — a GEMM-only service never touches
-        it (pinned by the poisoned-registry A/B test)."""
-        from repro.kernels import get_kernel
-
-        kern = get_kernel(request.kernel)
-        shape = request.shape
-
-        def run(_driver, injector):
-            return kern.run(
-                request,
-                injector=injector,
-                degraded=degraded,
-                tracer=self.tracer,
-                tid=1000 + worker.index,
-            )
-
-        result, attempts, error = self._attempts(
-            worker, shape, request.request_id, None, run,
-            kernel=request.kernel,
-        )
-        if result is None:
-            self.complete(
-                request,
-                GemmResponse(
-                    request_id=request.request_id,
-                    status="failed",
-                    error=error,
-                    worker=worker.index,
-                    attempts=attempts,
-                    batch_size=len(batch),
-                    degraded=degraded,
-                ),
-            )
-            return False
-        self.complete(
-            request,
-            GemmResponse(
-                request_id=request.request_id,
-                status="ok",
-                result=result,
-                worker=worker.index,
-                attempts=attempts,
-                batch_size=len(batch),
-                degraded=degraded,
-            ),
-        )
-        return True
-
-    def _run_single(self, worker: Worker, request: GemmRequest,
-                    batch: Batch, degraded: bool) -> bool:
-        if request.kernel != "gemm":
-            return self._run_kernel(worker, request, batch, degraded)
-        tuned = request.tuned
-        driver, exec_driver = self._pick_drivers(
-            worker, request.scheme, degraded, tuned
-        )
-        shape = (request.m, request.n, request.k)
-        packed = self._consult_cache(request.b, tuned)
-
-        def run(drv, injector):
-            use = exec_driver if injector is None else drv
-            c = request.c0.copy() if request.c0 is not None else None
-            return use.gemm(
-                request.a,
-                request.b,
-                c,
-                alpha=request.alpha,
-                beta=request.beta,
-                injector=injector,
-                request_id=request.request_id,
-                packed_b=packed if injector is None else None,
-            )
-
-        result, attempts, error = self._attempts(
-            worker, shape, request.request_id, driver, run
-        )
-        if result is None:
-            self.complete(
-                request,
-                GemmResponse(
-                    request_id=request.request_id,
-                    status="failed",
-                    error=error,
-                    worker=worker.index,
-                    attempts=attempts,
-                    batch_size=len(batch),
-                    degraded=degraded,
-                ),
-            )
-            return False
-        self.complete(
-            request,
-            GemmResponse(
-                request_id=request.request_id,
-                status="ok",
-                result=result,
-                worker=worker.index,
-                attempts=attempts,
-                batch_size=len(batch),
-                degraded=degraded,
-            ),
-        )
         return True

@@ -49,15 +49,15 @@ import time
 
 import numpy as np
 
-from repro.core.results import FTGemmResult
+from repro.kernels import get_kernel
 from repro.obs.metrics import NULL_METRICS
+from repro.serve.execute import answers, units_of
 from repro.serve.proc.heartbeat import HeartbeatBoard, HeartbeatMonitor
 from repro.serve.proc.shm import ShmRegistry, ShmTransport
 from repro.serve.proc.spawnctx import spawn_context, worker_seed
 from repro.serve.proc.worker import WorkerBootstrap, worker_main
 from repro.serve.request import GemmResponse
 from repro.serve.scheduler import Batch, BatchScheduler
-from repro.simcpu.counters import Counters
 from repro.util.rng import derive_seed
 
 #: trace lane base for per-worker process events (thread workers use
@@ -68,8 +68,8 @@ PROC_LANE = 2000
 class _Flight:
     """One dispatched batch: the unit of exactly-once accounting."""
 
-    __slots__ = ("batch", "deaths", "refs", "degraded", "kind",
-                 "result_ref", "item_results", "slot")
+    __slots__ = ("batch", "deaths", "refs", "degraded", "units",
+                 "result_refs", "slot")
 
     def __init__(self, batch: Batch) -> None:
         self.batch = batch
@@ -80,10 +80,10 @@ class _Flight:
         #: the flight resolves, swept when its worker dies
         self.refs: list[dict] = []
         self.degraded = False
-        self.kind = ""
-        self.result_ref: dict | None = None
-        #: request_id -> result ref (non-coalesced dispatch)
-        self.item_results: dict[str, dict] = {}
+        #: the dispatched batch's ``(unit, members)`` execution units
+        self.units: list[tuple] = []
+        #: one result slot per unit, in unit order
+        self.result_refs: list[dict] = []
         self.slot = -1
 
 
@@ -120,9 +120,11 @@ class _Handle:
 class ProcWorkerPool:
     """Drop-in pool with process workers (same contract as WorkerPool).
 
-    ``fault_spec_factory(request_id, service_config)`` returns the plain
-    fault-spec dict a child rebuilds its injector from (picklable, unlike
-    the thread tier's injector factory). ``chaos(batch_id, deaths)``
+    ``fault_spec_factory(request_id, service_config, kernel)`` returns
+    the plain fault-spec dict a child rebuilds its injector from
+    (picklable, unlike the thread tier's injector factory); it is asked
+    once per execution unit, keyed on the batch id for a coalesced batch
+    and on the request id otherwise. ``chaos(batch_id, deaths)``
     returns a kill phase (or None) stamped on the outgoing batch — the
     process-kill storm of the soak tests.
     """
@@ -404,107 +406,49 @@ class ProcWorkerPool:
     # ---------------------------------------------------------- message build
     def _build_message(self, flight: _Flight, handle: _Handle,
                        degraded: bool, kill_phase: str | None) -> dict:
+        """Stage every execution unit through the kernel's descriptors:
+        the unit operand, the optional aux operand and a result slot per
+        unit, the shared operand once per batch (batches form per bucket
+        and every bucket carries the kernel discriminator, so the head's
+        kernel is the whole batch's kernel)."""
         batch = flight.batch
         head = batch.items[0]
-        spec_of = self.fault_spec_factory or (lambda rid, cfg, *a: None)
-        # batches form per bucket and every bucket carries the kernel
-        # discriminator, so the head's kernel is the whole batch's kernel
+        kernel = get_kernel(head.kernel)
+        spec_of = self.fault_spec_factory or (lambda *args: None)
+        flight.units = units_of(batch)
         b_field, b_cache_key = self._stage_b(
             flight, handle, head.shared_operand
         )
-        msg = {
+        items = []
+        for unit, _ in flight.units:
+            aux = kernel.aux_operand(unit)
+            refs = {
+                "a": self.transport.stage(kernel.unit_operand(unit)),
+                "c0": None if aux is None else self.transport.stage(aux),
+                "result": self.transport.alloc_result(unit.result_shape),
+            }
+            flight.refs += [ref for ref in refs.values() if ref is not None]
+            items.append({
+                "request_id": unit.request_id,
+                "params": kernel.wire_params(unit),
+                "fault": spec_of(unit.request_id, self.config, unit.kernel),
+                **refs,
+            })
+        flight.result_refs = [item["result"] for item in items]
+        return {
             "op": "batch",
             "batch_id": batch.batch_id,
             "kernel": head.kernel,
-            "coalesced": batch.coalesced,
             "degraded": degraded,
             "scheme": head.scheme,
-            "alpha": getattr(head, "alpha", None),
             "kill_phase": kill_phase,
             "b": b_field,
             "b_cache_key": b_cache_key,
             # the resolved tuning entry crosses the pipe as a plain dict
             # (no tune types in the child's unpickle path); None = static
             "tuned": head.tuned.to_dict() if head.tuned is not None else None,
+            "items": items,
         }
-        if head.kernel != "gemm":
-            # kernel items: unit/aux operands through the same transport
-            # slots GEMM uses ("a"/"c0"), plus the kernel's scalar params
-            from repro.kernels import get_kernel
-
-            kern = get_kernel(head.kernel)
-            items = []
-            for request in batch.items:
-                unit_ref = self.transport.stage(
-                    np.ascontiguousarray(kern.unit_operand(request))
-                )
-                flight.refs.append(unit_ref)
-                aux = kern.aux_operand(request)
-                aux_ref = None
-                if aux is not None:
-                    aux_ref = self.transport.stage(np.ascontiguousarray(aux))
-                    flight.refs.append(aux_ref)
-                result_ref = self.transport.alloc_result(request.result_shape)
-                flight.refs.append(result_ref)
-                flight.item_results[request.request_id] = result_ref
-                items.append({
-                    "request_id": request.request_id,
-                    "a": unit_ref,
-                    "c0": aux_ref,
-                    "params": kern.wire_params(request),
-                    # third positional arg only on the kernel path:
-                    # existing two-arg factories never see it
-                    "fault": spec_of(
-                        request.request_id, self.config, head.kernel
-                    ),
-                    "result": result_ref,
-                })
-            flight.kind = "single"
-            msg["items"] = items
-            return msg
-        if batch.coalesced:
-            a_stack = np.vstack([r.a for r in batch.items])
-            a_ref = self.transport.stage(a_stack)
-            result_ref = self.transport.alloc_result(
-                (a_stack.shape[0], head.n)
-            )
-            flight.refs += [a_ref, result_ref]
-            flight.kind = "coalesced"
-            flight.result_ref = result_ref
-            msg.update(
-                a_stack=a_ref,
-                result=result_ref,
-                fault=spec_of(batch.batch_id, self.config),
-                items=[
-                    {"request_id": r.request_id, "m": r.m}
-                    for r in batch.items
-                ],
-            )
-        else:
-            flight.kind = "single"
-            items = []
-            for request in batch.items:
-                a_ref = self.transport.stage(request.a)
-                flight.refs.append(a_ref)
-                c0_ref = None
-                if request.c0 is not None:
-                    c0_ref = self.transport.stage(request.c0)
-                    flight.refs.append(c0_ref)
-                result_ref = self.transport.alloc_result(
-                    (request.m, request.n)
-                )
-                flight.refs.append(result_ref)
-                flight.item_results[request.request_id] = result_ref
-                items.append({
-                    "request_id": request.request_id,
-                    "a": a_ref,
-                    "c0": c0_ref,
-                    "beta": request.beta,
-                    "fault": spec_of(request.request_id, self.config),
-                    "result": result_ref,
-                })
-            msg["items"] = items
-        return msg
 
     def _stage_b(self, flight: _Flight, handle: _Handle, b):
         """The shared operand through the per-worker cache mirror: a key
@@ -610,20 +554,17 @@ class ProcWorkerPool:
             # the replay path owns it now — late evidence is dropped
             self.metrics.inc("serve.proc.late_results")
             return
-        if msg["kind"] == "error":
+        if "error" in msg:
             # in-child failure outside the retry loop (e.g. a cache
             # mirror miss): drop the mirror — it is the only state that
             # can disagree with the child — then bounded re-dispatch
             # with full operands
             with self._lock:
                 handle.b_mirror.clear()
-            self._requeue_or_fail(flight, msg.get("error", "child error"))
+            self._requeue_or_fail(flight, msg["error"])
             return
         try:
-            if msg["kind"] == "coalesced":
-                self._finish_coalesced(handle, flight, msg)
-            else:
-                self._finish_single(handle, flight, msg)
+            self._finish(handle, flight, msg["items"])
         finally:
             for ref in flight.refs:
                 self.transport.release(ref)
@@ -633,8 +574,6 @@ class ProcWorkerPool:
         for ref in flight.refs:
             self.transport.release(ref)
         flight.refs = []
-        flight.item_results = {}
-        flight.result_ref = None
         flight.deaths += 1
         if flight.deaths > self.config.proc_max_replays:
             self.metrics.inc("serve.proc.replays_exhausted")
@@ -651,113 +590,45 @@ class ProcWorkerPool:
         with self._lock:
             self._replay.append(flight)
 
-    def _result_from(self, meta: dict, c, request_id: str):
-        if meta.get("kernel"):
-            # non-GEMM evidence: rebuild the kernel-family result (the
-            # GEMM meta never carries a "kernel" key, so the original
-            # path below is byte-identical for GEMM traffic)
-            from repro.kernels.base import KernelResult
-
-            return KernelResult(
-                value=c,
-                kernel=meta["kernel"],
-                verified=bool(meta.get("verified")),
-                detected=int(meta.get("detected", 0)),
-                corrected=int(meta.get("corrected", 0)),
-                recomputed=int(meta.get("recomputed", 0)),
-                escalations=int(meta.get("escalations", 0)),
-                protection_flops=int(meta.get("protection_flops", 0)),
-                request_id=request_id,
-            )
-        return FTGemmResult(
-            c=c,
-            counters=meta.get("counters") or Counters(),
-            reports=meta.get("reports") or [],
-            verified=bool(meta.get("verified")),
-            ft_enabled=bool(meta.get("ft_enabled", True)),
-            recovery=meta.get("recovery"),
-            request_id=request_id,
-        )
-
-    def _finish_coalesced(self, handle: _Handle, flight: _Flight,
-                          msg: dict) -> None:
+    def _finish(self, handle: _Handle, flight: _Flight, items: list) -> None:
+        """Answer every request of a flight from the child's per-unit
+        replies (one per unit, in unit order)."""
         batch = flight.batch
-        if not msg["ok"]:
-            for request in batch.items:
-                self.complete(
-                    request,
-                    GemmResponse(
-                        request_id=request.request_id,
-                        status="failed",
-                        error=msg["error"],
-                        worker=handle.slot,
-                        attempts=msg["attempts"],
-                        batch_size=len(batch),
-                        degraded=flight.degraded,
-                    ),
-                )
-            return
-        c_all = self.transport.fetch(flight.result_ref, msg.get("payload"))
-        meta = msg["meta"]
-        offset = 0
-        for request in batch.items:
-            c_slice = c_all[offset:offset + request.m]
-            offset += request.m
-            self.complete(
-                request,
-                GemmResponse(
-                    request_id=request.request_id,
-                    status="ok",
-                    result=self._result_from(
-                        meta, c_slice, request.request_id
-                    ),
-                    worker=handle.slot,
-                    attempts=msg["attempts"],
-                    batch_size=len(batch),
-                    degraded=flight.degraded,
-                ),
-            )
-
-    def _finish_single(self, handle: _Handle, flight: _Flight,
-                       msg: dict) -> None:
-        batch = flight.batch
-        by_id = {r.request_id: r for r in batch.items}
-        for item in msg["items"]:
-            request = by_id.get(item["request_id"])
-            if request is None:
+        for (unit, members), ref, item in zip(
+            flight.units, flight.result_refs, items
+        ):
+            if item["result"] is None:
+                for request in members:
+                    self.complete(
+                        request,
+                        GemmResponse(
+                            request_id=request.request_id,
+                            status="failed",
+                            error=item["error"],
+                            worker=handle.slot,
+                            attempts=item["attempts"],
+                            batch_size=len(batch),
+                            degraded=flight.degraded,
+                        ),
+                    )
                 continue
-            if not item["ok"]:
+            result = get_kernel(unit.kernel).with_value(
+                item["result"], self.transport.fetch(ref, item["payload"]),
+                unit.request_id,
+            )
+            for request, part in answers(unit, members, result):
                 self.complete(
                     request,
                     GemmResponse(
                         request_id=request.request_id,
-                        status="failed",
-                        error=item["error"],
+                        status="ok",
+                        result=part,
                         worker=handle.slot,
                         attempts=item["attempts"],
                         batch_size=len(batch),
                         degraded=flight.degraded,
                     ),
                 )
-                continue
-            c = self.transport.fetch(
-                flight.item_results[request.request_id],
-                item.get("payload"),
-            )
-            self.complete(
-                request,
-                GemmResponse(
-                    request_id=request.request_id,
-                    status="ok",
-                    result=self._result_from(
-                        item["meta"], c, request.request_id
-                    ),
-                    worker=handle.slot,
-                    attempts=item["attempts"],
-                    batch_size=len(batch),
-                    degraded=flight.degraded,
-                ),
-            )
 
     # --------------------------------------------------------- death protocol
     def _proc_alive(self, slot: int) -> bool:

@@ -8,12 +8,16 @@ message per command keeps the parent's exactly-once accounting atomic —
 a batch either produces its single ``result`` message or the process
 dies and the parent's death protocol claims every in-flight request.
 
-The child never constructs a :class:`~repro.serve.request.GemmResponse`
-— terminal responses exist only in the parent, where the analyzer's
-complete-funnel rule can see them route through ``_complete``. The child
-returns raw evidence (verified flag, counters, verification reports,
-recovery report) and writes C panels into the parent-allocated result
-slots; the parent reassembles per-request ``FTGemmResult`` objects.
+Every item of a batch message is one execution unit (a request, or the
+stacked request of a coalesced batch). The child rebuilds it from wire
+operands (:func:`~repro.serve.request.request_from_wire`) and runs it
+through the execution core both tiers share
+(:func:`repro.serve.execute.run`). The child never constructs a
+:class:`~repro.serve.request.GemmResponse` — terminal responses exist
+only in the parent, where the analyzer's complete-funnel rule can see
+them route through ``_complete``. The child writes each result array
+into its parent-allocated result slot and ships the result object with
+the array detached; the parent re-attaches the fetched array.
 
 Determinism: the bootstrap carries an explicit seed derived from
 (service seed, slot, incarnation) — see
@@ -24,9 +28,10 @@ depends on spawn timing or platform RNG state.
 
 Chaos self-kills: a batch message may carry a ``kill`` phase. The child
 then SIGKILLs **itself** at that phase boundary — ``pack`` (operands
-materialized), ``compute`` (first tile callback), ``reduce`` (product
-done, result not yet written), ``reply`` (result written, message not
-yet sent) — or ``stall``\\ s (stops its heartbeat and idles) so the
+materialized), ``compute`` (about to call the kernel), ``reduce``
+(product done, result not yet written), all three as hooks into the
+execution core; ``reply`` (result written, message not yet sent) — or
+``stall``\\ s (stops its heartbeat and idles) so the
 monitor's miss detection, not PID death, has to notice. Each phase
 leaves the protocol in a different half-finished state, which is exactly
 what the replay path must be indifferent to.
@@ -39,21 +44,16 @@ import pickle
 import signal
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.faults.campaign import (
-    plan_for_gemm,
-    site_invocation_counts_parallel,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.models import BitFlip, FailStop, StuckBit
+from repro.kernels import get_kernel
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.pool import Worker, tuned_parts
+from repro.serve.execute import Worker, injector_from_spec, run
 from repro.serve.proc.heartbeat import Beater
 from repro.serve.proc.shm import attach, write_result
-from repro.util.errors import ReproError
+from repro.serve.request import request_from_wire
 from repro.util.rng import make_rng
 
 
@@ -82,74 +82,6 @@ def _send(conn, msg: dict) -> None:
     conn.send_bytes(pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def _portable(obj):
-    """``obj`` if it survives pickling, else None — evidence objects ride
-    home best-effort; correctness never depends on them."""
-    try:
-        pickle.dumps(obj)
-    except Exception:
-        return None
-    return obj
-
-
-def injector_from_spec(spec: dict | None, shape, service_config):
-    """Rebuild the deterministic in-child injector from a plain spec.
-
-    The parent derives the spec (model choice, plan seed, optional
-    fail-stop) from the workload seed; the child re-derives the full
-    site plan from it so the injector never crosses the process boundary
-    as a live object. Mirrors the thread tier's
-    :func:`~repro.serve.workload.make_injector_factory` fault mix.
-    """
-    if spec is None:
-        return None
-    kernel = spec.get("kernel", "gemm")
-    if kernel != "gemm":
-        # non-GEMM plans come from the kernel's own site map; the model
-        # mix mirrors the GEMM path (no fail-stop rung — the kernels run
-        # single-threaded, and FailStop needs a thread team)
-        from repro.kernels import get_kernel
-
-        model = (
-            StuckBit(bit=spec["bit"]) if spec["model"] == "stuck"
-            else BitFlip(bit=spec["bit"])
-        )
-        plan = get_kernel(kernel).plan(
-            tuple(shape), spec["errors_per_call"],
-            model=model, seed=spec["plan_seed"],
-        )
-        return FaultInjector(plan)
-    m, n, k = shape
-    blocking = service_config.ft.blocking
-    counts = None
-    if service_config.gemm_threads > 1:
-        counts = site_invocation_counts_parallel(
-            m, n, k, blocking, service_config.gemm_threads
-        )
-    model = (
-        StuckBit(bit=spec["bit"]) if spec["model"] == "stuck"
-        else BitFlip(bit=spec["bit"])
-    )
-    plan = plan_for_gemm(
-        m, n, k, blocking,
-        spec["errors_per_call"],
-        model=model,
-        seed=spec["plan_seed"],
-        counts=counts,
-    )
-    fail_stop = spec.get("fail_stop")
-    if fail_stop is not None and service_config.gemm_threads >= 2:
-        plan = replace(
-            plan,
-            fail_stops=(
-                FailStop(
-                    thread=fail_stop["thread"], barrier=fail_stop["barrier"]
-                ),
-            ),
-        )
-    return FaultInjector(plan)
-
-
 class _ChildState:
     """Per-process serving state: engines, hot-B cache, panel cache."""
 
@@ -158,9 +90,6 @@ class _ChildState:
         self.config = bootstrap.service_config
         self.metrics = MetricsRegistry()
         self.rng = make_rng(bootstrap.seed)
-        # reuse the thread tier's driver construction wholesale: same
-        # schemes, same degraded (checksum-only) wiring
-        self.engines = Worker(bootstrap.slot, self.config)
         #: hot-B cache mirrored with the parent dispatcher: the parent
         #: only sends ``{"kind": "cached"}`` refs for keys it inserted
         #: earlier on this same (ordered) pipe, with the same bound and
@@ -169,16 +98,23 @@ class _ChildState:
         self.b_cache_entries = int(
             getattr(self.config, "proc_b_cache_entries", 0) or 0
         )
-        self.panel_cache = None
+        panel_cache = None
         if (
             getattr(self.config, "panel_cache_bytes", None) is not None
             and self.config.gemm_threads == 1
         ):
             from repro.gemm.panelcache import PanelCache
 
-            self.panel_cache = PanelCache(
+            panel_cache = PanelCache(
                 self.config.panel_cache_bytes, metrics=self.metrics
             )
+        # the thread tier's engine cache: same schemes, same degraded
+        # (checksum-only) wiring; panels only for cache-owned B operands
+        self.engines = Worker(
+            bootstrap.slot, self.config, panel_cache=panel_cache,
+            owns=lambda b: any(b is held for held in self.b_cache.values()),
+            metrics=self.metrics,
+        )
 
     def remember_b(self, key: str, b: np.ndarray) -> None:
         self.b_cache[key] = b
@@ -186,81 +122,20 @@ class _ChildState:
         while len(self.b_cache) > self.b_cache_entries:
             self.b_cache.popitem(last=False)
 
-    def _panels_for(self, b: np.ndarray, resident: bool, tuned=None):
-        """Packed panels for a *resident* (cache-owned) B. Transient shm
-        views are never encoded: the cache would pin the dying segment's
-        buffer and the next request re-encodes anyway. A tuned batch keys
-        the cache under its own blocking (matching the driver that will
-        consume the panels); tuned team execution skips panels entirely,
-        like the thread tier."""
-        if self.panel_cache is None or not resident:
-            return None
-        blocking = self.config.ft.blocking
-        if tuned is not None:
-            blocking, threads = tuned_parts(tuned)
-            if threads > 1:
-                return None
-        return self.panel_cache.acquire(b, blocking)
-
-
-def _attempt_loop(state: _ChildState, driver, spec, shape, request_id,
-                  run, kill_phase):
-    """The in-child mirror of the thread pool's retry loop: faults on
-    attempt 0 only, exponential backoff, verified-or-retry."""
-    config = state.config
-    error = ""
-    for attempt in range(config.retry_budget + 1):
-        if attempt:
-            state.metrics.inc("serve.proc.child_retries")
-            time.sleep(config.backoff_base_s * 2 ** (attempt - 1))
-        injector = None
-        if attempt == 0:
-            injector = injector_from_spec(spec, shape, config)
-        on_tile = None
-        if attempt == 0 and kill_phase == "compute":
-            def on_tile(*_args, **_kwargs):
-                _self_kill()
-        try:
-            result = run(driver, injector, on_tile)
-        except ReproError as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            continue
-        except Exception as exc:  # substrate faults may raise anything
-            error = f"{type(exc).__name__}: {exc}"
-            continue
-        if attempt == 0 and kill_phase == "reduce":
-            _self_kill()
-        if result.verified:
-            return result, attempt + 1, ""
-        error = "verification failed"
-    return None, config.retry_budget + 1, error
-
-
-def _evidence(result) -> dict:
-    """The picklable slice of an FTGemmResult (C travels via shm)."""
-    return {
-        "verified": bool(result.verified),
-        "ft_enabled": bool(result.ft_enabled),
-        "counters": _portable(result.counters),
-        "reports": _portable(result.reports) or [],
-        "recovery": _portable(result.recovery),
-    }
-
 
 def _materialize_b(state: _ChildState, msg: dict):
-    """Resolve the batch's B operand: child-cache hit, cache insert, or
-    a transient segment view. Returns (b, resident, segment|None) —
-    ``resident`` marks a cache-owned array safe to encode panels for."""
+    """Resolve the batch's shared operand: child-cache hit, cache insert,
+    or a transient segment view. Returns (operand, segment|None)."""
     ref = msg["b"]
     if ref.get("kind") == "none":
-        return None, False, None  # kernel without a shared operand (FFT)
+        return None, None  # kernel without a shared operand (FFT)
     if ref.get("kind") == "cached":
         b = state.b_cache.get(ref["key"])
         if b is None:
             raise KeyError(f"b-cache miss for {ref['key']!r}")
         state.b_cache.move_to_end(ref["key"])
         state.metrics.inc("serve.proc.b_cache_hits")
-        return b, True, None
+        return b, None
     view, segment = attach(ref)
     key = msg.get("b_cache_key")
     if key is not None and state.b_cache_entries > 0:
@@ -268,140 +143,14 @@ def _materialize_b(state: _ChildState, msg: dict):
         if segment is not None:
             segment.close()
         state.remember_b(key, b)
-        return b, True, None
-    return view, False, segment
+        return b, None
+    return view, segment
 
 
-def _child_drivers(state: _ChildState, msg: dict):
-    """(static driver, execution driver) for one batch message.
-
-    ``msg["tuned"]`` is the plain-dict form of the resolved tuning entry
-    (or None); the Worker engine cache rebuilds and memoizes the tuned
-    driver on first sight, so steady-state batches pay one dict lookup.
-    """
-    static = state.engines.driver_for(msg["scheme"], msg["degraded"])
-    tuned = msg.get("tuned")
-    if tuned is None:
-        return static, static
-    state.metrics.inc("tune.applied")
-    return static, state.engines.driver_for(
-        msg["scheme"], msg["degraded"], tuned=tuned
-    )
-
-
-def _execute_coalesced(state: _ChildState, msg: dict, b) -> dict:
-    driver, exec_driver = _child_drivers(state, msg)
-    a_view, a_segment = attach(msg["a_stack"])
-    # everything from here on runs under the finally: panel prep can
-    # raise too, and the segment must close on that path as well
-    try:
-        packed = state._panels_for(b, msg["b_resident"], msg.get("tuned"))
-        shape = (a_view.shape[0], b.shape[1], b.shape[0])
-        if msg["kill_phase"] == "pack":
-            _self_kill()
-
-        def run(drv, injector, on_tile):
-            # mirror the thread tier: injected attempts run on the static
-            # driver (fault plans derive their schedules from the static
-            # blocking), clean attempts on the tuned one
-            use = exec_driver if injector is None else drv
-            return use.gemm(
-                a_view,
-                b,
-                alpha=msg["alpha"],
-                injector=injector,
-                on_tile=on_tile,
-                request_id=msg["batch_id"],
-                packed_b=packed if injector is None else None,
-            )
-
-        result, attempts, error = _attempt_loop(
-            state, driver, msg["fault"], shape, msg["batch_id"],
-            run, msg["kill_phase"],
-        )
-    finally:
-        if a_segment is not None:
-            a_segment.close()
-    if result is None:
-        return {"ok": False, "error": error, "attempts": attempts,
-                "meta": None, "payload": None}
-    payload = write_result(msg["result"], result.c)
-    return {"ok": True, "error": "", "attempts": attempts,
-            "meta": _evidence(result), "payload": payload}
-
-
-def _execute_single(state: _ChildState, item: dict, msg: dict, b) -> dict:
-    driver, exec_driver = _child_drivers(state, msg)
-    a_view, a_segment = attach(item["a"])
-    c0_view = c0_segment = None
-    # the second attach and the panel prep can raise: both segments
-    # must close on those paths too, so the finally starts here
-    try:
-        if item["c0"] is not None:
-            c0_view, c0_segment = attach(item["c0"])
-        packed = state._panels_for(b, msg["b_resident"], msg.get("tuned"))
-        shape = (a_view.shape[0], b.shape[1], b.shape[0])
-        if msg["kill_phase"] == "pack":
-            _self_kill()
-
-        def run(drv, injector, on_tile):
-            use = exec_driver if injector is None else drv
-            c = np.array(c0_view) if c0_view is not None else None
-            return use.gemm(
-                a_view,
-                b,
-                c,
-                alpha=msg["alpha"],
-                beta=item["beta"],
-                injector=injector,
-                on_tile=on_tile,
-                request_id=item["request_id"],
-                packed_b=packed if injector is None else None,
-            )
-
-        result, attempts, error = _attempt_loop(
-            state, driver, item["fault"], shape, item["request_id"],
-            run, msg["kill_phase"],
-        )
-    finally:
-        if a_segment is not None:
-            a_segment.close()
-        if c0_segment is not None:
-            c0_segment.close()
-    if result is None:
-        return {"request_id": item["request_id"], "ok": False,
-                "error": error, "attempts": attempts,
-                "meta": None, "payload": None}
-    payload = write_result(item["result"], result.c)
-    return {"request_id": item["request_id"], "ok": True, "error": "",
-            "attempts": attempts, "meta": _evidence(result),
-            "payload": payload}
-
-
-def _kernel_evidence(result) -> dict:
-    """The picklable slice of a KernelResult (the value travels via shm).
-    The ``kernel`` key doubles as the parent's routing discriminator —
-    GEMM evidence never carries one."""
-    return {
-        "kernel": result.kernel,
-        "verified": bool(result.verified),
-        "detected": int(result.detected),
-        "corrected": int(result.corrected),
-        "recomputed": int(result.recomputed),
-        "escalations": int(result.escalations),
-        "protection_flops": int(result.protection_flops),
-    }
-
-
-def _execute_kernel_item(state: _ChildState, item: dict, msg: dict,
-                         shared) -> dict:
-    """One non-GEMM request: rebuild it from wire operands, run it through
-    the registry kernel under the shared retry loop, write the canonical
-    2-D float64 value into the parent-allocated result slot."""
-    from repro.kernels import get_kernel
-    from repro.serve.request import request_from_wire
-
-    kern = get_kernel(msg["kernel"])
+def _run_item(state: _ChildState, msg: dict, item: dict, shared) -> dict:
+    """One execution unit: rebuild the request from its wire operands,
+    run it through the execution core, write the result array into the
+    parent-allocated slot. Faults strike attempt 0 only."""
     unit_view, unit_segment = attach(item["a"])
     aux_view = aux_segment = None
     # the aux attach and the wire rebuild can raise: both segments must
@@ -413,38 +162,38 @@ def _execute_kernel_item(state: _ChildState, item: dict, msg: dict,
             msg["kernel"], unit_view, shared, aux_view, item["params"],
             scheme=msg["scheme"], request_id=item["request_id"],
         )
-        shape = request.shape
-        if msg["kill_phase"] == "pack":
-            _self_kill()
+        request.tuned = msg["tuned"]
 
-        def run(_drv, injector, on_tile):
-            if on_tile is not None:
-                # the "compute" chaos phase: the registry kernels take no
-                # tile callback, so dying at dispatch is the closest
-                # analogue of dying at the first tile (attempt 0 only,
-                # like GEMM)
+        def injector_for(attempt):
+            if attempt:
+                return None
+            return injector_from_spec(item["fault"], request.shape,
+                                      state.config)
+
+        def phase(name):
+            if name == msg["kill_phase"]:
                 _self_kill()
-            return kern.run(request, injector=injector,
-                            degraded=msg["degraded"])
 
-        result, attempts, error = _attempt_loop(
-            state, None, item["fault"], shape, item["request_id"],
-            run, msg["kill_phase"],
+        outcome = run(
+            request, state.engines, degraded=msg["degraded"],
+            injector_for=injector_for,
+            retry_metric="serve.proc.child_retries", phase=phase,
         )
+        payload = None
+        if outcome.result is not None:
+            payload = write_result(item["result"], outcome.result.c)
     finally:
         if unit_segment is not None:
             unit_segment.close()
         if aux_segment is not None:
             aux_segment.close()
-    if result is None:
-        return {"request_id": item["request_id"], "ok": False,
-                "error": error, "attempts": attempts,
-                "meta": None, "payload": None}
-    payload = write_result(
-        item["result"], np.asarray(result.c, dtype=np.float64)
-    )
-    return {"request_id": item["request_id"], "ok": True, "error": "",
-            "attempts": attempts, "meta": _kernel_evidence(result),
+    result = outcome.result
+    if result is not None:
+        result = get_kernel(request.kernel).with_value(
+            result, None, request.request_id
+        )
+    return {"request_id": item["request_id"], "result": result,
+            "error": outcome.error, "attempts": outcome.attempts,
             "payload": payload}
 
 
@@ -454,37 +203,20 @@ def _serve_batch(state: _ChildState, msg: dict) -> dict:
     kill_phase = msg["kill_phase"]
     b_segment = None
     try:
-        b, resident, b_segment = _materialize_b(state, msg)
-        msg["b_resident"] = resident
+        shared, b_segment = _materialize_b(state, msg)
         if kill_phase == "stall":
             # exist-but-frozen: heartbeat stops, PID stays alive; only
             # the monitor's miss detection can rescue this batch
             state.beater.stop()
             while True:
                 time.sleep(3600.0)
-        if msg.get("kernel", "gemm") != "gemm":
-            items = [
-                _execute_kernel_item(state, item, msg, b)
-                for item in msg["items"]
-            ]
-            reply = {"op": "result", "batch_id": msg["batch_id"],
-                     "kind": "single", "items": items}
-        elif msg["coalesced"]:
-            body = _execute_coalesced(state, msg, b)
-            reply = {"op": "result", "batch_id": msg["batch_id"],
-                     "kind": "coalesced", **body}
-        else:
-            items = [
-                _execute_single(state, item, msg, b)
-                for item in msg["items"]
-            ]
-            reply = {"op": "result", "batch_id": msg["batch_id"],
-                     "kind": "single", "items": items}
+        reply = {"op": "result", "batch_id": msg["batch_id"],
+                 "items": [_run_item(state, msg, item, shared)
+                           for item in msg["items"]]}
     except Exception as exc:
         # a broken message or cache-mirror miss must still produce the
         # batch's one reply: the parent turns it into retry/replay
         reply = {"op": "result", "batch_id": msg["batch_id"],
-                 "kind": "error",
                  "error": f"{type(exc).__name__}: {exc}"}
     finally:
         if b_segment is not None:

@@ -85,8 +85,8 @@ class KernelRequest:
     """
 
     #: kernel discriminator, overridden per subclass (class attribute —
-    #: zero per-instance cost; the pool's hot-path routing is one string
-    #: compare against it)
+    #: zero per-instance cost); the execution core resolves the registry
+    #: kernel from it
     kernel = "?"
 
     priority: int = 0

@@ -249,15 +249,16 @@ class GemmService:
         response = ticket.result(timeout=5.0)
         service.drain()
 
-    ``injector_factory(shape, attempt, request_id, config)`` — when given —
-    is consulted before every execution attempt and may return a
-    :class:`~repro.faults.injector.FaultInjector` (or None) to exercise
-    the fault-tolerance machinery with live traffic. It is a thread-tier
-    construct (a live injector cannot cross a process boundary); with
-    ``processes > 0`` pass ``fault_spec_factory(request_id, config)``
-    instead — a picklable spec dict each worker process rebuilds its
-    injector from — and optionally ``chaos(batch_id, deaths)`` returning
-    a process-kill phase for the chaos storm.
+    ``injector_factory(shape, attempt, request_id, config, kernel)`` —
+    when given — is consulted before every execution attempt and may
+    return a :class:`~repro.faults.injector.FaultInjector` (or None) to
+    exercise the fault-tolerance machinery with live traffic. It is a
+    thread-tier construct (a live injector cannot cross a process
+    boundary); with ``processes > 0`` pass
+    ``fault_spec_factory(request_id, config, kernel)`` instead — a
+    picklable spec dict each worker process rebuilds its injector from —
+    and optionally ``chaos(batch_id, deaths)`` returning a process-kill
+    phase for the chaos storm.
     """
 
     def __init__(

@@ -24,9 +24,10 @@ one open-loop run can storm a heterogeneous mix — :data:`MIXED_SHAPES`
 is the stock four-kernel blend — and the audit checks each ``ok``
 response against *its own kernel's* NumPy oracle.
 
-Fault injection is deterministic per (request, attempt): the factory
-derives every choice from the workload seed, so a failing soak replays
-exactly.
+Fault injection is deterministic per (request, attempt): one spec
+factory derives every choice from the workload seed, and both tiers
+rebuild their injectors from its specs, so a failing soak replays
+exactly on either tier.
 """
 
 from __future__ import annotations
@@ -36,13 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.faults.campaign import (
-    plan_for_gemm,
-    site_invocation_counts_parallel,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.models import BitFlip, FailStop, StuckBit
 from repro.kernels import get_kernel
+from repro.serve.execute import injector_from_spec
 from repro.serve.request import (
     FftRequest,
     GemmRequest,
@@ -238,90 +234,45 @@ class WorkloadReport:
 
 
 def make_injector_factory(workload: WorkloadConfig):
-    """An ``injector_factory`` for :class:`GemmService` drawing a
-    deterministic fault mix: bit flips (transient), stuck bits (the sticky
-    model the supervisor quarantines), and — on multi-threaded workers —
-    fail-stop thread deaths.
+    """An ``injector_factory`` for the thread tier of :class:`GemmService`:
+    the spec :func:`make_fault_spec_factory` draws, rebuilt in process by
+    :func:`~repro.serve.execute.injector_from_spec` — the process tier
+    rebuilds the same spec in its worker, so both tiers strike the same
+    requests with the same faults.
 
     Only first attempts are faulted: a retry models re-execution on
     healthy substrate, which is the service-level recovery the retries
     exist to provide.
     """
-    if workload.fault_rate <= 0.0:
+    spec_of = make_fault_spec_factory(workload)
+    if spec_of is None:
         return None
 
-    def factory(shape, attempt, request_id, service_config, kernel="gemm"):
+    def factory(shape, attempt, request_id, service_config, kernel):
         if attempt > 0:
             return None
-        rng = make_rng(derive_seed(workload.seed, "serve", request_id))
-        if rng.random() >= workload.fault_rate:
-            return None
-        model = (
-            StuckBit(bit=51) if rng.random() < 0.3 else BitFlip(bit=50)
+        return injector_from_spec(
+            spec_of(request_id, service_config, kernel), shape,
+            service_config,
         )
-        if kernel != "gemm":
-            # the kernel's own site map; no fail-stop rung (the non-GEMM
-            # kernels run single-threaded — there is no thread team to
-            # lose a member of)
-            plan = get_kernel(kernel).plan(
-                tuple(shape),
-                workload.errors_per_call,
-                model=model,
-                seed=derive_seed(workload.seed, "plan", request_id),
-            )
-            return FaultInjector(plan)
-        m, n, k = shape
-        blocking = service_config.ft.blocking
-        counts = None
-        if service_config.gemm_threads > 1:
-            counts = site_invocation_counts_parallel(
-                m, n, k, blocking, service_config.gemm_threads
-            )
-        plan = plan_for_gemm(
-            m, n, k, blocking,
-            workload.errors_per_call,
-            model=model,
-            seed=derive_seed(workload.seed, "plan", request_id),
-            counts=counts,
-        )
-        if (
-            service_config.gemm_threads >= 2
-            and rng.random() < workload.fail_stop_fraction
-        ):
-            from dataclasses import replace
-
-            # barriers 1..3 exist for every shape (the round barriers of
-            # the first K-block); thread 0 must survive to supervise
-            plan = replace(
-                plan,
-                fail_stops=(
-                    FailStop(
-                        thread=int(rng.integers(1, service_config.gemm_threads)),
-                        barrier=int(rng.integers(1, 4)),
-                    ),
-                ),
-            )
-        return FaultInjector(plan)
 
     return factory
 
 
 def make_fault_spec_factory(workload: WorkloadConfig):
-    """The process-tier twin of :func:`make_injector_factory`: returns a
-    ``fault_spec_factory(request_id, service_config)`` producing the plain
-    picklable spec dict a worker process rebuilds its injector from
-    (:func:`repro.serve.proc.worker.injector_from_spec`).
+    """The one place per-request fault choices are drawn: returns a
+    ``fault_spec_factory(request_id, service_config, kernel)`` producing
+    the plain picklable spec dict (or None) both tiers rebuild their
+    injectors from (:func:`~repro.serve.execute.injector_from_spec`).
 
-    The RNG draws mirror :func:`make_injector_factory` draw-for-draw —
-    same seed derivation, same gate, same model split, same fail-stop
-    tail — so a workload replayed on the process tier strikes the same
-    requests with the same faults as the thread tier. Children fault
-    first attempts only, matching the thread tier's retry semantics.
+    The fault mix is deterministic per request id: bit flips (transient),
+    stuck bits (the sticky model the supervisor quarantines), and — on
+    multi-threaded GEMM workers — fail-stop thread deaths.
     """
     if workload.fault_rate <= 0.0:
         return None
 
-    def factory(request_id, service_config, kernel="gemm"):
+    def factory(request_id, service_config, kernel):
         rng = make_rng(derive_seed(workload.seed, "serve", request_id))
         if rng.random() >= workload.fault_rate:
             return None
@@ -333,14 +284,17 @@ def make_fault_spec_factory(workload: WorkloadConfig):
         }
         spec["bit"] = 51 if spec["model"] == "stuck" else 50
         if kernel != "gemm":
-            # mirrors the thread tier: the non-GEMM branch ends after the
-            # model draw, so both tiers' RNG streams stay draw-for-draw
+            # the kernel's own site map; no fail-stop rung (the non-GEMM
+            # kernels run single-threaded — there is no thread team to
+            # lose a member of)
             spec["kernel"] = kernel
             return spec
         if (
             service_config.gemm_threads >= 2
             and rng.random() < workload.fail_stop_fraction
         ):
+            # barriers 1..3 exist for every shape (the round barriers of
+            # the first K-block); thread 0 must survive to supervise
             spec["fail_stop"] = {
                 "thread": int(rng.integers(1, service_config.gemm_threads)),
                 "barrier": int(rng.integers(1, 4)),

@@ -158,7 +158,7 @@ def test_sarif_results_reference_driver_rules(tmp_path):
     rules = run["tool"]["driver"]["rules"]
     ids = [r["id"] for r in rules]
     assert ids == sorted(ids) and len(set(ids)) == len(ids)
-    assert "ledger-coverage" in ids and "rng-draw-parity" in ids
+    assert "ledger-coverage" in ids and "funnel-completeness" in ids
     assert len(run["results"]) == 1
     entry = run["results"][0]
     assert entry["ruleId"] == "hot-loop-alloc"

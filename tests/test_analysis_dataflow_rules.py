@@ -117,112 +117,6 @@ class Pool:
     assert findings_for(tmp_path, good, "funnel-completeness") == []
 
 
-# ---------------------------------------------------------- rng-draw-parity
-_RNG_PREAMBLE = """\
-from repro.util.rng import make_rng
-
-
-def make_injector_factory(models, seed):
-    def factory(request, kernel, shape, attempt):
-{injector_body}
-    return factory
-
-
-def make_fault_spec_factory(models, seed):
-    def spec_factory(request, kernel):
-{spec_body}
-    return spec_factory
-"""
-
-
-def rng_module(injector_body, spec_body):
-    indent = lambda body: "".join(
-        f"        {line}\n" for line in body.splitlines()
-    )
-    return _RNG_PREAMBLE.format(
-        injector_body=indent(injector_body), spec_body=indent(spec_body)
-    )
-
-
-def test_rng_flags_tier_conditional_draw(tmp_path):
-    """The seeded regression: a draw gated on ``shape`` — a parameter the
-    fault-spec twin never receives — silently desynchronises every draw
-    after it on one tier only."""
-    bad = rng_module(
-        "rng = make_rng(seed, request)\n"
-        "gate = rng.random()\n"
-        "if shape > 64:\n"
-        "    extra = rng.random()\n"
-        "idx = rng.integers(0, 4)\n"
-        "return gate, idx",
-        "rng = make_rng(seed, request)\n"
-        "gate = rng.random()\n"
-        "idx = rng.integers(0, 4)\n"
-        "return gate, idx",
-    )
-    found = findings_for(tmp_path, bad, "rng-draw-parity")
-    conditional = [f for f in found if "tier-only" in f.message]
-    assert len(conditional) == 1
-    assert "shape" in conditional[0].message
-
-
-def test_rng_pre_seed_gate_is_parity_safe(tmp_path):
-    """``if attempt > 0: return None`` before the generator exists cannot
-    skew a stream that has consumed nothing — the sanctioned idiom."""
-    good = rng_module(
-        "if attempt > 0:\n"
-        "    return None\n"
-        "rng = make_rng(seed, request)\n"
-        "gate = rng.random()\n"
-        "idx = rng.integers(0, 4)\n"
-        "return gate, idx",
-        "rng = make_rng(seed, request)\n"
-        "gate = rng.random()\n"
-        "idx = rng.integers(0, 4)\n"
-        "return gate, idx",
-    )
-    assert findings_for(tmp_path, good, "rng-draw-parity") == []
-
-
-def test_rng_shared_state_conditional_is_fine(tmp_path):
-    """Both factories receive ``kernel`` — a branch on it evaluates the
-    same way on both tiers, so a draw under it keeps parity."""
-    good = rng_module(
-        "rng = make_rng(seed, request)\n"
-        "gate = rng.random()\n"
-        "if kernel == 'fft':\n"
-        "    stage = rng.integers(0, 8)\n"
-        "idx = rng.integers(0, 4)\n"
-        "return gate, idx",
-        "rng = make_rng(seed, request)\n"
-        "gate = rng.random()\n"
-        "if kernel == 'fft':\n"
-        "    stage = rng.integers(0, 8)\n"
-        "idx = rng.integers(0, 4)\n"
-        "return gate, idx",
-    )
-    assert findings_for(tmp_path, good, "rng-draw-parity") == []
-
-
-def test_rng_flags_sequence_divergence(tmp_path):
-    bad = rng_module(
-        "rng = make_rng(seed, request)\n"
-        "gate = rng.random()\n"
-        "model = rng.choice(models)\n"
-        "idx = rng.integers(0, 4)\n"
-        "return gate, model, idx",
-        "rng = make_rng(seed, request)\n"
-        "gate = rng.random()\n"
-        "idx = rng.integers(0, 4)\n"
-        "return gate, idx",
-    )
-    found = findings_for(tmp_path, bad, "rng-draw-parity")
-    divergence = [f for f in found if "diverge" in f.message]
-    assert len(divergence) == 1
-    assert "random, choice, integers" in divergence[0].message
-    assert "random, integers" in divergence[0].message
-
-
 # ---------------------------------------------------------- ledger-coverage
 _LEDGER_BAD = """\
 class FtDriver:

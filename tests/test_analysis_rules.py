@@ -71,7 +71,7 @@ def setup_buffers(n):
 
 def test_hot_loop_alloc_covers_cache_consult_path(tmp_path):
     """The panel-cache admission runs per batch on the serving hot path:
-    acquire() and the pool's _consult_cache() are hot names, so an
+    acquire() and the worker's panels_for() consult are hot names, so an
     allocating loop inside either is a finding."""
     bad = """\
 import numpy as np
@@ -80,14 +80,14 @@ def acquire(self, b, config):
     for key in self._entries:
         probe = np.zeros(4)
 
-def _consult_cache(self, b):
+def panels_for(self, b):
     for entry in self._entries:
         samples = np.empty(8)
 """
     found = findings_for(tmp_path, bad, "hot-loop-alloc")
     assert len(found) == 2
     assert any("acquire" in f.message for f in found)
-    assert any("_consult_cache" in f.message for f in found)
+    assert any("panels_for" in f.message for f in found)
 
 
 # ------------------------------------------------------------ barrier-pairing

@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.config import FTGemmConfig
 from repro.core.ftgemm import FTGemm
+from repro.faults.injector import FaultInjector, InjectionPlan
+from repro.faults.models import Additive
 from repro.gemm.blocking import BlockingConfig
 from repro.gemm.driver import BlockedGemm
 from repro.gemm.reference import gemm_reference
@@ -155,3 +157,25 @@ def test_on_tile_observer_still_called(ft, rng):
     a = rng.standard_normal((8, 8))
     ft.gemm(a, a, on_tile=lambda tile, i0, j0: calls.append((i0, j0)))
     assert calls
+
+
+def test_transpose_flags(small_config, rng):
+    """The BLAS op() interface on the serial driver."""
+    a = rng.standard_normal((11, 19))
+    b = rng.standard_normal((23, 11))
+    ft = FTGemm(small_config)
+    result = ft.gemm(a, b, trans_a=True, trans_b=True)
+    assert result.verified
+    np.testing.assert_allclose(result.c, a.T @ b.T, rtol=1e-11)
+    result = ft.gemm(a, a, trans_b=True)
+    np.testing.assert_allclose(result.c, a @ a.T, rtol=1e-11)
+
+
+def test_transpose_under_injection(small_config, rng):
+    a = rng.standard_normal((15, 21))
+    inj = FaultInjector(
+        InjectionPlan.single("microkernel", 4, model=Additive(magnitude=30.0))
+    )
+    result = FTGemm(small_config).gemm(a, a, trans_a=True, injector=inj)
+    assert result.verified
+    np.testing.assert_allclose(result.c, a.T @ a, rtol=1e-10, atol=1e-10)

@@ -293,27 +293,6 @@ def test_clean_call_after_injected_call_batches_again(rng):
     np.testing.assert_allclose(result.c, a @ b, rtol=1e-11, atol=1e-11)
 
 
-def test_ft_gemm_batched_dispatch_override(rng):
-    from repro.core.batched import ft_gemm_batched
-
-    a = rng.standard_normal((3, 10, 8))
-    b = rng.standard_normal((3, 8, 9))
-    config = FTGemmConfig(blocking=BlockingConfig.small())
-    runs = {
-        mode: ft_gemm_batched(a, b, config=config, dispatch=mode)
-        for mode in ("tile", "batched")
-    }
-    for result in runs.values():
-        assert result.verified
-    np.testing.assert_allclose(
-        runs["batched"].stacked(), runs["tile"].stacked(), rtol=1e-11, atol=1e-11
-    )
-    for field in ("fma_flops", "checksum_flops", "microkernel_calls"):
-        assert getattr(runs["batched"].counters, field) == getattr(
-            runs["tile"].counters, field
-        )
-
-
 # --------------------------------------------------------- workspace arena
 
 

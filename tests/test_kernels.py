@@ -187,6 +187,23 @@ def test_ft_fft_repairs_a_single_stage_error(rng):
     np.testing.assert_allclose(blas.value, np.fft.fft(x), rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("seed", [142, 509])
+def test_ft_fft_never_verifies_an_aliased_repair(seed):
+    """A stuck bit striking two same-exponent values of opposite sign
+    leaves w1/w2 residuals identical to one error at the sum of their
+    positions. These seeds once "repaired" that phantom element and came
+    back verified but wrong; the w3 re-check now rejects the repair and
+    the stage is recomputed."""
+    kern = get_kernel("fft")
+    request = kern.sample_request((64,), np.random.default_rng(seed))
+    plan = kern.plan((64,), 2, model=StuckBit(bit=51), seed=seed)
+    result = kern.run(request, injector=FaultInjector(plan))
+    assert result.detected >= 1
+    assert result.verified
+    np.testing.assert_allclose(result.value, kern.oracle(request),
+                               rtol=0, atol=1e-9)
+
+
 def test_ft_fft_rejects_non_power_of_two():
     from repro.util.errors import ShapeError
 

@@ -5,11 +5,12 @@ Three layers of coverage:
 - **detector units** — the acquisition-graph cycle detector on synthetic
   lock patterns (2-cycle, 3-cycle, consistent order, reentrancy,
   condition waits) and the leaked-thread detector;
-- **seeded regression** — `serve.pool.SEED_LOCK_INVERSION` flips on a
-  deliberate pool<->scheduler lock inversion; the sanitizer must catch
-  it through a full service start/serve/shutdown, proving the detector
-  sees real inversions through the real stack (and that the clean run
-  right next to it is genuinely clean, not blind);
+- **seeded regression** — the test wraps ``WorkerPool._spawn`` and
+  ``WorkerPool.stop`` so they take the pool lock and the scheduler's
+  ready lock in opposite orders; the sanitizer must catch that
+  inversion through a full service start/serve/shutdown, proving the
+  detector sees real inversions through the real stack (and that the
+  clean run right next to it is genuinely clean, not blind);
 - **sanitized system runs** — the serve fault-storm soak (scaled down)
   and the fail-stop recovery grid (sampled) execute entirely under the
   monitor: no cycles, no leaked threads, results still correct.
@@ -21,7 +22,6 @@ import time
 import numpy as np
 import pytest
 
-import repro.serve.pool as pool_mod
 from repro.analysis.sanitize import SanitizerError, monitor
 from repro.core.config import FTGemmConfig
 from repro.core.parallel import ParallelFTGemm
@@ -32,6 +32,7 @@ from repro.serve import (
     GemmService,
     ServiceConfig,
     ShapeSpec,
+    WorkerPool,
     WorkloadConfig,
     make_injector_factory,
     run_workload,
@@ -173,24 +174,42 @@ def _serve_a_few(service, rng):
         assert response.status == "ok", response.summary()
 
 
-def test_seeded_lock_inversion_is_caught(rng):
-    assert pool_mod.SEED_LOCK_INVERSION is False  # product default
-    pool_mod.SEED_LOCK_INVERSION = True
-    try:
-        with monitor() as san:
-            service = GemmService(_small_service_config()).start()
-            _serve_a_few(service, rng)
-            service.shutdown()
-    finally:
-        pool_mod.SEED_LOCK_INVERSION = False
+def _seed_lock_inversion(monkeypatch):
+    """Make the pool take its own lock and the scheduler's ready lock in
+    opposite orders on the spawn and stop paths — a textbook lock-order
+    inversion, seeded from outside the product code."""
+    spawn, stop = WorkerPool._spawn, WorkerPool.stop
+
+    def inverted_spawn(pool):
+        with pool._lock:
+            with pool.scheduler._ready_lock:  # pool -> scheduler order
+                pass
+        return spawn(pool)
+
+    def inverted_stop(pool, join=True):
+        with pool.scheduler._ready_lock:
+            with pool._lock:  # scheduler -> pool: inverts _spawn's order
+                pass
+        return stop(pool, join)
+
+    monkeypatch.setattr(WorkerPool, "_spawn", inverted_spawn)
+    monkeypatch.setattr(WorkerPool, "stop", inverted_stop)
+
+
+def test_seeded_lock_inversion_is_caught(rng, monkeypatch):
+    _seed_lock_inversion(monkeypatch)
+    with monitor() as san:
+        service = GemmService(_small_service_config()).start()
+        _serve_a_few(service, rng)
+        service.shutdown()
     assert san.cycles, "seeded pool<->scheduler inversion not detected"
     description = san.cycles[0].describe()
     assert "pool.py" in description and "scheduler.py" in description
 
 
 def test_unseeded_service_lifecycle_is_clean(rng):
-    """The control for the regression above: identical run, flag off —
-    the detector that just fired now reports nothing."""
+    """The control for the regression above: identical run, nothing
+    seeded — the detector that just fired now reports nothing."""
     with monitor() as san:
         service = GemmService(_small_service_config()).start()
         _serve_a_few(service, rng)

@@ -1,5 +1,5 @@
 """Mixed-kernel serving: the four-kernel blend through both tiers under
-a fault storm, plus the registry A/B guarantee.
+a fault storm.
 
 The acceptance bar for the kernel family as serving citizens:
 
@@ -8,13 +8,12 @@ The acceptance bar for the kernel family as serving citizens:
   SIGKILL chaos;
 - **correctness** — every ``ok`` response of every kernel matches *its
   own kernel's* NumPy oracle (the driver's per-kernel audit);
-- **isolation** — a GEMM-only service never touches the registry: with
-  the registry poisoned to raise on any lookup, pure-GEMM traffic is
-  served bit-identically to an unpoisoned service.
+- **routing** — non-GEMM traffic resolves its kernel through the
+  registry (that both tiers answer alike through it is the cross-tier
+  differential test's job).
 """
 
 import numpy as np
-import pytest
 
 from repro.core.config import FTGemmConfig
 from repro.gemm.blocking import BlockingConfig
@@ -23,11 +22,8 @@ from repro.serve import (
     ServiceConfig,
     ShapeSpec,
     WorkloadConfig,
-    make_injector_factory,
     run_serve_workload,
-    run_workload,
 )
-from repro.serve.request import GemmRequest
 
 #: the mixed blend at soak-friendly sizes: a coalescible GEMM class,
 #: GEMV and TRSM classes sharing their factors, private FFT signals
@@ -114,60 +110,12 @@ def test_mixed_kernel_fault_storm_process_tier():
     assert report.recovery["proc_replays"] >= 1
 
 
-# ------------------------------------------------------ registry A/B
-
-
-def _poison_registry(monkeypatch):
-    import repro.kernels
-    import repro.kernels.registry as registry
-
-    def bomb(name):
-        raise AssertionError(
-            f"registry consulted for {name!r} on a GEMM-only service"
-        )
-
-    monkeypatch.setattr(registry, "get_kernel", bomb)
-    monkeypatch.setattr(repro.kernels, "get_kernel", bomb)
-    monkeypatch.setattr(registry, "_REGISTRY", {})
-
-
-def _serve_gemm_traffic(n_requests=6):
-    """Serve deterministic GEMM-only traffic; returns the result
-    matrices in submission order."""
-    config = ServiceConfig(
-        workers=2,
-        max_batch=8,
-        ft=FTGemmConfig(blocking=BlockingConfig.small()),
-    )
-    service = GemmService(config).start()
-    rng = np.random.default_rng(99)
-    shared_b = rng.standard_normal((16, 12))
-    futures = []
-    try:
-        for _ in range(n_requests):
-            request = GemmRequest(rng.standard_normal((6, 16)), shared_b)
-            futures.append(service.submit(request))
-        return [f.result(timeout=30.0).result.c.copy() for f in futures]
-    finally:
-        service.shutdown()
-
-
-def test_gemm_only_service_never_touches_a_poisoned_registry(monkeypatch):
-    """The zero-overhead contract: GEMM batches route straight to the
-    cached drivers on a string compare, so a GEMM-only service works —
-    and answers identically — even when every registry lookup raises."""
-    clean = _serve_gemm_traffic()
-    _poison_registry(monkeypatch)
-    poisoned = _serve_gemm_traffic()
-    assert len(clean) == len(poisoned)
-    for before, after in zip(clean, poisoned):
-        np.testing.assert_array_equal(before, after)
+# ---------------------------------------------------------- registry
 
 
 def test_non_gemm_traffic_does_consult_the_registry(monkeypatch):
-    """Sanity check that the A/B poison is load-bearing: the same pool
-    path *does* resolve non-GEMM kernels through the registry, so a
-    poisoned lookup would have tripped had GEMM routed through it."""
+    """The pool resolves non-GEMM kernels through the registry: a
+    counting lookup sees the request's kernel name."""
     import repro.kernels
     from repro.kernels import get_kernel as real_get_kernel
 

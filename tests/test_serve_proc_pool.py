@@ -150,7 +150,7 @@ def test_process_tier_rejects_live_injector_factory():
 def test_fault_specs_exercise_child_side_abft(rng):
     """A spec-driven injected fault is detected and corrected inside the
     worker process — the response is still correct and verified."""
-    def spec_factory(request_id, config):
+    def spec_factory(request_id, config, kernel):
         return {
             "model": "flip", "bit": 50, "errors_per_call": 2,
             "plan_seed": 1234, "fail_stop": None,

@@ -69,7 +69,7 @@ def test_process_kill_chaos_soak_exactly_once_and_correct():
     # the storm actually carries every fault class before it runs
     spec_factory = make_fault_spec_factory(workload)
     specs = [
-        spec_factory(f"r{i:06d}", config)
+        spec_factory(f"r{i:06d}", config, "gemm")
         for i in range(workload.max_requests)
     ]
     live = [s for s in specs if s is not None]

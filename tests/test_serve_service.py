@@ -223,7 +223,8 @@ class _FlakyInjector:
         self.fail_attempts = fail_attempts  # dict request_id -> set(attempts)
         self.calls = []
 
-    def __call__(self, shape, attempt, request_id, service_config):
+    def __call__(self, shape, attempt, request_id, service_config,
+                 kernel):
         self.calls.append((request_id, attempt))
         if attempt in self.fail_attempts.get(request_id, ()):
             return _SubstrateCrash()

@@ -69,8 +69,9 @@ def test_fault_storm_soak_exactly_once_and_correct():
     inner = make_injector_factory(workload)
     storm = {"faulted": 0, "fail_stops": 0, "models": set()}
 
-    def counting_factory(shape, attempt, request_id, service_config):
-        injector = inner(shape, attempt, request_id, service_config)
+    def counting_factory(shape, attempt, request_id, service_config,
+                         kernel):
+        injector = inner(shape, attempt, request_id, service_config, kernel)
         if injector is not None:
             storm["faulted"] += 1
             storm["models"].add(type(injector.plan.model).__name__)

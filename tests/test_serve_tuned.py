@@ -6,7 +6,7 @@ import numpy as np
 from repro.core.config import FTGemmConfig
 from repro.gemm.blocking import BlockingConfig
 from repro.serve import GemmRequest, GemmService, ServiceConfig
-from repro.serve.pool import tuned_parts
+from repro.serve.execute import tuned_parts
 from repro.simcpu.machine import MachineSpec
 from repro.tune.db import TunedConfig, TuningDB
 
