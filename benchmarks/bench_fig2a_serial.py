@@ -1,9 +1,10 @@
 """Fig. 2(a) — serial GEMM comparison.
 
-Real-execution leg: the serial drivers at laptop scale, whose timing ratios
-demonstrate the fused-FT overhead on actual runs. The paper-scale GFLOPS
-series (MKL/OpenBLAS/BLIS/Ori/FT over 2048²…10240²) is regenerated by the
-session-end hook in ``conftest.py`` into ``results/fig2a.txt``.
+Real-execution leg: the serial drivers at small scale under
+pytest-benchmark. The published panel is the measured sweep of
+:func:`repro.bench.figures.fig2a_serial` (OpenBLAS / Ori / FT / classic
+ABFT, interleaved, n = 256…2048), which the session-end hook in
+``conftest.py`` writes to ``results/fig2a.txt``.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from repro.gemm.driver import BlockedGemm
 
 
 def bench_numpy_oracle(benchmark, bench_operands):
-    """The trusted BLAS product (what MKL plays in the paper)."""
+    """NumPy's BLAS product (OpenBLAS), the sweep's oracle and baseline."""
     a, b = bench_operands
     benchmark(lambda: a @ b)
 

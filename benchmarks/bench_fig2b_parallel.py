@@ -2,9 +2,9 @@
 
 Real-execution leg: the Figure-1 scheme on both team backends. The real
 ``threads`` backend shows genuine overlap (NumPy releases the GIL inside
-packing and the macro kernels); the ``simulated`` backend prices the same
-schedule deterministically. The paper-scale 10-thread series lands in
-``results/fig2b.txt`` via the session hook.
+packing and the macro kernels); the ``simulated`` backend runs the same
+schedule deterministically. The paper's 10-thread panel is not
+reproduced here (EXPERIMENTS.md says why).
 """
 
 import numpy as np

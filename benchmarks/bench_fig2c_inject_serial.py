@@ -2,9 +2,9 @@
 
 Real-execution leg: the protected serial driver while absorbing 0/5/20
 injected kernel faults per call — the wall-clock ratios show detection and
-correction cost on real runs (the paper's point: nearly flat). The modeled
-panel (FT vs baselines at 6144² with 0…20 errors) lands in
-``results/fig2c.txt``.
+correction cost on real runs (the paper's point: nearly flat). The paper's
+panel itself (FT vs MKL/OpenBLAS/BLIS at 20 errors) stays paper-reported
+(EXPERIMENTS.md).
 """
 
 import numpy as np

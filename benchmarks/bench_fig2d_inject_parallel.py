@@ -1,8 +1,8 @@
 """Fig. 2(d) — parallel performance under error injection.
 
 Real-execution leg: the Figure-1 parallel driver absorbing faults injected
-into the shared-B̃ packing and the per-thread macro kernels. The modeled
-10-thread panel lands in ``results/fig2d.txt``.
+into the shared-B̃ packing and the per-thread macro kernels. The paper's
+10-thread panel is not reproduced here (EXPERIMENTS.md says why).
 """
 
 import numpy as np

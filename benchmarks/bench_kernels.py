@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.abft.checksum import encode_full
 from repro.abft.tolerance import residual_tolerances
+from repro.bench.reporting import host_summary
 from repro.gemm.blocking import BlockingConfig
 from repro.gemm.driver import BlockedGemm
 from repro.gemm.macrokernel import macro_kernel, macro_kernel_batched
@@ -145,6 +146,7 @@ def test_dispatch_tile_vs_batched_512():
     speedup = record["tile"]["seconds"] / record["batched"]["seconds"]
     record["speedup"] = speedup
     record["shape"] = [n, n, n]
+    record["host"] = host_summary()
     results = Path(__file__).parent / "results"
     results.mkdir(exist_ok=True)
     (results / "dispatch.json").write_text(json.dumps(record, indent=2) + "\n")
@@ -157,6 +159,9 @@ def test_dispatch_tile_vs_batched_512():
             for mode in ("tile", "batched")
         ),
         f"  speedup  {speedup:9.2f} x  (identical counters, allclose results)",
+        f"host: {record['host']}",
+        "run: PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py "
+        "-k dispatch -q -s (one timed call per mode)",
     ]
     (results / "dispatch.txt").write_text("\n".join(lines) + "\n")
     print("\n" + "\n".join(lines))

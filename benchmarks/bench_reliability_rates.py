@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.bench.reporting import host_summary
 from repro.core.config import FTGemmConfig
 from repro.core.ftgemm import FTGemm
 from repro.core.parallel import ParallelFTGemm
@@ -205,6 +206,7 @@ def bench_supervisor_overhead_fault_free(benchmark):
         ),
     }
     payload = {
+        "host": host_summary(),
         "supervisor_overhead_fault_free": {
             "baseline_s": timings[False],
             "supervised_s": timings[True],
@@ -230,6 +232,9 @@ def bench_supervisor_overhead_fault_free(benchmark):
         f"fault-free supervisor overhead: {overhead * 100.0:+.2f}% "
         f"(budget 2.00%, baseline {timings[False] * 1e3:.1f} ms, "
         f"supervised {timings[True] * 1e3:.1f} ms, batched path, n=192)",
+        f"host: {payload['host']}",
+        "run: PYTHONPATH=src python -m pytest "
+        "benchmarks/bench_reliability_rates.py -k supervisor -q",
         "",
         "campaign                      runs  injected  detected  correct %",
         "----------------------------  ----  --------  --------  ---------",

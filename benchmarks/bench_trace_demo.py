@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.bench.reporting import host_summary
 from repro.core.config import FTGemmConfig
 from repro.core.parallel import ParallelFTGemm
 from repro.faults.campaign import plan_for_gemm, site_invocation_counts_parallel
@@ -97,8 +98,12 @@ def test_trace_demo_fault_run():
         if key.startswith("barrier.wait_us.")
     }
     lines = [
-        f"traced {N}x{N}x{N} FT-DGEMM, {THREADS} threads, "
+        f"traced {N}x{N}x{N} FT-DGEMM, {THREADS} threads (simulated team), "
         "1 checksum fault + fail-stop t2@b5",
+        f"host     : {host_summary()}",
+        "run      : PYTHONPATH=src python -m pytest "
+        "benchmarks/bench_trace_demo.py -q",
+        "predicted: GemmPerfModel on a Xeon W-2255 (model output)",
         f"events   : {len(events)}  (trace: results/trace_demo.json)",
         f"verified : {result.verified}",
         f"recovery : {result.recovery.summary()}",

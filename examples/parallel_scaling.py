@@ -3,7 +3,8 @@
 Shows (1) the deterministic simulated team executing the exact barrier
 schedule of the paper's Figure 1, (2) the same worker code on real OS
 threads (NumPy releases the GIL, so packing and macro kernels overlap),
-and (3) the modeled 10-core projection on the paper's Xeon W-2255.
+and (3) the performance model's 10-core projection on the paper's Xeon
+W-2255 (model output, not a measurement).
 
 Run:  python examples/parallel_scaling.py
 """
@@ -13,8 +14,8 @@ import time
 import numpy as np
 
 from repro import FTGemmConfig, ParallelFTGemm
-from repro.baselines import FTGemmLibrary
 from repro.gemm.blocking import BlockingConfig
+from repro.perfmodel import GemmPerfModel
 from repro.util.formatting import format_table
 
 
@@ -53,24 +54,24 @@ def main() -> None:
 
     # --- modeled projection on the paper's testbed ----------------------
     rows = []
-    ft10 = FTGemmLibrary("ft", threads=10)
-    ori10 = FTGemmLibrary("ori", threads=10)
-    ft1 = FTGemmLibrary("ft")
+    ft10 = GemmPerfModel(mode="ft", threads=10)
+    ori10 = GemmPerfModel(mode="ori", threads=10)
+    ft1 = GemmPerfModel(mode="ft")
     for size in (512, 2048, 8192, 20480):
         rows.append(
             [
                 size,
-                f"{ft1.modeled_gflops(size):.0f}",
-                f"{ori10.modeled_gflops(size):.0f}",
-                f"{ft10.modeled_gflops(size):.0f}",
-                f"{(1 - ft10.modeled_gflops(size) / ori10.modeled_gflops(size)) * 100:.2f}%",
+                f"{ft1.gflops(size):.0f}",
+                f"{ori10.gflops(size):.0f}",
+                f"{ft10.gflops(size):.0f}",
+                f"{(1 - ft10.gflops(size) / ori10.gflops(size)) * 100:.2f}%",
             ]
         )
     print(
         format_table(
             ["n", "FT 1t", "Ori 10t", "FT 10t", "FT ovh"],
             rows,
-            title="Modeled GFLOPS on Xeon W-2255 (paper Fig. 2(b) regime)",
+            title="Model output: GFLOPS on a Xeon W-2255 (paper Fig. 2(b) regime)",
         )
     )
 

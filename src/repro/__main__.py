@@ -37,8 +37,6 @@ def _cmd_bench(args) -> int:
     forward: list[str] = []
     for figure in args.figure or []:
         forward += ["--figure", figure]
-    if args.validate:
-        forward.append("--validate")
     forward += ["--out", args.out]
     return bench_main(forward)
 
@@ -646,7 +644,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("bench", help="regenerate the paper's figures")
     p.add_argument("--figure", action="append")
-    p.add_argument("--validate", action="store_true")
     p.add_argument("--out", default="results")
     p.set_defaults(fn=_cmd_bench)
 

@@ -5,12 +5,11 @@ Two complementary halves:
 - the **static analyzer** (:mod:`~repro.analysis.engine` plus the
   ``rules_*`` modules) parses the source with stdlib ``ast``, builds a
   statement-granularity CFG with explicit exception edges
-  (:mod:`~repro.analysis.cfg`: reaching definitions, dominators,
-  control dependences), and checks the unwritten invariants the layers
-  rely on — hot-loop allocation discipline, barrier pairing, inferred
-  lock discipline, completion funnelling across exception paths, shm
-  segment lifecycle, checksum-ledger coverage of FT writes, RNG draw
-  parity between the fault injector and spec factories, tracer
+  (:mod:`~repro.analysis.cfg`; reaching definitions live in
+  :mod:`~repro.analysis.dataflow`), and checks the unwritten invariants
+  the layers rely on — hot-loop allocation discipline, barrier pairing,
+  inferred lock discipline, completion funnelling across exception paths,
+  shm segment lifecycle, checksum-ledger coverage of FT writes, tracer
   hygiene — with justified per-line suppressions, a committed baseline,
   ``--diff REF`` changed-files mode, and SARIF 2.1.0 export;
 - the **runtime sanitizer** (:mod:`~repro.analysis.sanitize`) wraps

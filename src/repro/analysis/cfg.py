@@ -25,12 +25,10 @@ flow or propagates outward); a statement inside a handler propagates
 records the stack of enclosing ``withitem``s (`Node.withs`) — that is
 how the lock rules know which locks are lexically held at a node.
 
-On top of the graph the class offers the standard orders the rules
-need: ``dominators()``, ``postdominators()`` (over normal flow, with the
-function exit as sink) and ``control_deps()`` (Ferrante-style: node N is
-control-dependent on branch B via successor S iff N postdominates S but
-not B). Graphs are a few hundred nodes at most, so the set-based
-iterative algorithms are plenty fast; :meth:`SourceModule.cfg` caches
+On top of the graph the class offers the queries the dataflow layer
+needs: statement nodes in order (``stmt_nodes``), successors with or
+without exception edges (``succs``) and reachability (``reachable``).
+Graphs are a few hundred nodes at most; :meth:`SourceModule.cfg` caches
 one graph per function so every rule shares it.
 """
 
@@ -412,76 +410,6 @@ class CFG:
                     seen.add(edge.dst)
                     stack.append(edge.dst)
         return seen
-
-    def dominators(self) -> dict[int, set[int]]:
-        """node -> set of nodes dominating it (reflexive), over all edges."""
-        reach = self.reachable()
-        doms = {n: set(reach) for n in reach}
-        doms[self.entry] = {self.entry}
-        changed = True
-        while changed:
-            changed = False
-            for n in reach:
-                if n == self.entry:
-                    continue
-                preds = [
-                    e.src for e in self.nodes[n].preds if e.src in reach
-                ]
-                if not preds:
-                    continue
-                new = set.intersection(*(doms[p] for p in preds)) | {n}
-                if new != doms[n]:
-                    doms[n] = new
-                    changed = True
-        return doms
-
-    def postdominators(self, *, exc: bool = False) -> dict[int, set[int]]:
-        """node -> set of nodes postdominating it (reflexive), computed
-        toward the *normal* exit (``exc=False`` ignores exception edges —
-        the right setting for "does the checksum update postdominate the
-        write on non-raising paths")."""
-        reach = self.reachable()
-        sinks = {self.exit, self.raise_exit} & reach
-        pdoms = {n: set(reach) for n in reach}
-        for sink in sinks:
-            pdoms[sink] = {sink}
-        changed = True
-        while changed:
-            changed = False
-            for n in reach:
-                if n in sinks:
-                    continue
-                succs = [
-                    e.dst for e in self.succs(n, exc=exc) if e.dst in reach
-                ]
-                if not succs:
-                    new = {n}
-                else:
-                    new = set.intersection(*(pdoms[s] for s in succs)) | {n}
-                if new != pdoms[n]:
-                    pdoms[n] = new
-                    changed = True
-        return pdoms
-
-    def control_deps(self) -> dict[int, list[tuple[int, str]]]:
-        """node -> [(branch node, edge kind)] it is control-dependent on:
-        N depends on branch B via successor S iff N postdominates S but
-        not B (Ferrante/Ottenstein/Warren, set form)."""
-        pdoms = self.postdominators(exc=False)
-        reach = self.reachable()
-        deps: dict[int, list[tuple[int, str]]] = {n: [] for n in reach}
-        for b in reach:
-            out = [e for e in self.succs(b, exc=False) if e.dst in reach]
-            if len(out) < 2:
-                continue
-            for edge in out:
-                for n in reach:
-                    if n == b:
-                        continue
-                    if n in pdoms[edge.dst] and n not in pdoms[b]:
-                        if (b, edge.kind) not in deps[n]:
-                            deps[n].append((b, edge.kind))
-        return deps
 
 
 def build_cfg(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> CFG:

@@ -1,21 +1,19 @@
-"""Traditional (non-fused) online ABFT GEMM — the scheme fusion replaces.
+"""Traditional (non-fused) offline ABFT GEMM — the scheme fusion replaces.
 
-This is a *real, runnable* implementation, not just a model mode: the same
-blocked kernel as FT-GEMM, but every checksum operation is a dedicated
-pass, exactly the structure the paper's Section 2.2 criticizes:
+A real, runnable implementation around the same blocked kernel as
+FT-GEMM, where every checksum operation is a dedicated pass, exactly the
+structure the paper's Section 2.2 criticizes:
 
 1. encode ``A^r = eᵀA`` — separate sweep of A;
 2. encode ``B^c = B·e`` — separate sweep of B;
 3. predicted checksums via standalone GEMVs (``A^r·B`` re-reads B,
    ``A·B^c`` re-reads A);
-4. plain blocked GEMM;
-5. verification — a separate sweep over C per K-block (online) or once at
-   the end (offline), configurable.
+4. plain blocked GEMM (batched macro kernel unless an injector needs the
+   per-tile sites);
+5. one verification sweep over C at the end.
 
 Counters therefore show a large ``ft_extra_bytes`` where the fused driver
-shows zero — the pair is compared element-for-element by the overhead
-benchmarks, and the performance model prices this structure as its
-``"classic"`` mode.
+shows zero; the measured Fig. 2(a) sweep times the pair side by side.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import FTGemmConfig
-from repro.core.results import FTGemmResult, VerificationReport
+from repro.core.results import FTGemmResult
 from repro.core.verification import ChecksumLedger, Verifier
 from repro.gemm.driver import BlockedGemm
 from repro.simcpu.counters import Counters
@@ -32,15 +30,14 @@ from repro.util.validation import as_2d_float64, check_gemm_operands
 
 
 class TraditionalABFT:
-    """Non-fused online/offline ABFT around the blocked GEMM."""
+    """Non-fused offline ABFT around the blocked GEMM."""
 
-    def __init__(self, config: FTGemmConfig | None = None, *, online: bool = True):
+    def __init__(self, config: FTGemmConfig | None = None):
         self.config = config or FTGemmConfig()
         if not self.config.enable_ft:
             raise ConfigError("TraditionalABFT is inherently fault tolerant; "
                               "use BlockedGemm for an unprotected baseline")
         self.ft_config = self.config  # campaign-compat alias
-        self.online = online
         self.counters = Counters()
 
     def gemm(
@@ -101,50 +98,31 @@ class TraditionalABFT:
         else:
             c[:] = 0.0
 
-        # --- the plain blocked product, with per-K-block online probes
+        # --- the plain blocked product; an injector needs the per-tile and
+        # packing sites, a clean call runs the batched macro kernel
         driver = BlockedGemm(self.config.blocking, counters=counters)
-        probes: list[VerificationReport] = []
-
-        original_after_p = driver._after_p
-
-        def after_p(p_idx: int, last_p: bool, cc: np.ndarray) -> None:
-            original_after_p(p_idx, last_p, cc)
-            if not self.online or last_p:
-                return
-            # online verification: a dedicated sweep of C per K-block —
-            # this is precisely the O(n^2) cost fusion eliminates
-            counters.ft_extra_bytes += cc.nbytes
-            counters.checksum_flops += 2 * cc.size
-            counters.verifications += 1
-
-        driver._after_p = after_p  # bound per call; driver is private here
-
-        def tile_hook(tile: np.ndarray, i0: int, j0: int) -> None:
-            if injector is not None:
+        on_tile = None
+        if injector is not None:
+            def on_tile(tile: np.ndarray, i0: int, j0: int) -> None:
                 injector.visit("microkernel", tile)
 
-        def pack_probe(site: str, data: np.ndarray) -> None:
-            if injector is not None:
-                injector.visit(site, data)
+            orig_pack_a = driver._pack_a_block
+            orig_pack_b = driver._pack_b_block
 
-        # packing hooks: wrap the pack methods to expose injection sites
-        orig_pack_a = driver._pack_a_block
-        orig_pack_b = driver._pack_b_block
+            def pack_a(aa, i0, ilen, p0, plen, al, *, first_j):
+                packed = orig_pack_a(aa, i0, ilen, p0, plen, al, first_j=first_j)
+                injector.visit("pack_a", packed.data)
+                return packed
 
-        def pack_a(aa, i0, ilen, p0, plen, al, *, first_j):
-            packed = orig_pack_a(aa, i0, ilen, p0, plen, al, first_j=first_j)
-            pack_probe("pack_a", packed.data)
-            return packed
+            def pack_b(bb, p0, plen, j0, jlen):
+                packed = orig_pack_b(bb, p0, plen, j0, jlen)
+                injector.visit("pack_b", packed.data)
+                return packed
 
-        def pack_b(bb, p0, plen, j0, jlen):
-            packed = orig_pack_b(bb, p0, plen, j0, jlen)
-            pack_probe("pack_b", packed.data)
-            return packed
-
-        driver._pack_a_block = pack_a
-        driver._pack_b_block = pack_b
+            driver._pack_a_block = pack_a
+            driver._pack_b_block = pack_b
         driver.gemm(a, b, c, alpha=alpha, beta=1.0 if beta != 0.0 else 0.0,
-                    on_tile=tile_hook)
+                    on_tile=on_tile)
 
         # --- final dedicated verification sweep over C
         ledger.row_ref = c.sum(axis=0)
@@ -162,7 +140,7 @@ class TraditionalABFT:
         return FTGemmResult(
             c=c,
             counters=counters,
-            reports=probes + reports,
+            reports=reports,
             verified=verified,
             ft_enabled=True,
         )

@@ -3,8 +3,9 @@
 - :mod:`repro.bench.workloads` — matrix/workload generators (the paper uses
   dense square DGEMM sweeps; extra distributions exercise the tolerance
   theory);
-- :mod:`repro.bench.figures` — one builder per panel of the paper's
-  Figure 2 plus the in-text claims (overhead table, reliability table);
+- :mod:`repro.bench.figures` — the measured Fig. 2(a) sweep (which also
+  carries the in-text fused-vs-classic overhead claim), the reliability
+  table and the supporting scaling/serving tables;
 - :mod:`repro.bench.reporting` — text-table rendering and result files;
 - :mod:`repro.bench.harness` — the experiment runner and the
   ``python -m repro.bench`` CLI.
@@ -21,10 +22,6 @@ from repro.bench.workloads import (
 from repro.bench.figures import (
     FigureSeries,
     fig2a_serial,
-    fig2b_parallel,
-    fig2c_serial_injection,
-    fig2d_parallel_injection,
-    overhead_table,
     reliability_table,
     ALL_FIGURES,
 )
@@ -39,10 +36,6 @@ __all__ = [
     "WORKLOADS",
     "FigureSeries",
     "fig2a_serial",
-    "fig2b_parallel",
-    "fig2c_serial_injection",
-    "fig2d_parallel_injection",
-    "overhead_table",
     "reliability_table",
     "ALL_FIGURES",
     "ExperimentRunner",

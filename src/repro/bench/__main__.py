@@ -2,9 +2,8 @@
 
 Examples::
 
-    python -m repro.bench                     # all figures, modeled only
-    python -m repro.bench --figure fig2a
-    python -m repro.bench --validate          # + real scaled-down campaigns
+    python -m repro.bench                     # all figures
+    OPENBLAS_NUM_THREADS=1 python -m repro.bench --figure fig2a
     python -m repro.bench --out results/
 """
 
@@ -31,14 +30,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--out", default="results", help="output directory for evidence files"
     )
-    parser.add_argument(
-        "--validate",
-        action="store_true",
-        help="also run real scaled-down injection campaigns (slower)",
-    )
     args = parser.parse_args(argv)
 
-    runner = ExperimentRunner(args.out, validate=args.validate)
+    runner = ExperimentRunner(args.out)
     for figure_id in args.figure or sorted(ALL_FIGURES):
         runner.run(figure_id)
     print(runner.report())

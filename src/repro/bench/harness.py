@@ -13,15 +13,12 @@ from repro.util.errors import ConfigError
 class ExperimentRunner:
     """Builds figures, prints them, and persists the evidence files."""
 
-    def __init__(self, out_dir: str | Path = "results", *, validate: bool = False):
+    def __init__(self, out_dir: str | Path = "results"):
         self.out_dir = Path(out_dir)
-        self.validate = validate
         self.built: dict[str, FigureSeries] = {}
         self.timings: dict[str, float] = {}
 
     def run(self, figure_id: str, **kwargs) -> FigureSeries:
-        if figure_id in ("fig2c", "fig2d") and "validate" not in kwargs:
-            kwargs["validate"] = self.validate
         start = time.perf_counter()
         fig = build(figure_id, **kwargs)
         self.timings[figure_id] = time.perf_counter() - start

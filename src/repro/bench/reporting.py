@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import platform
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from repro.util.formatting import format_gflops, format_percent, format_table
 
@@ -13,9 +17,10 @@ from repro.util.formatting import format_gflops, format_percent, format_table
 class FigureSeries:
     """One regenerated table/figure: x values against named series.
 
-    ``paper_claims`` records the published numbers the series should
-    reproduce in shape; ``observations`` is filled by the builder with the
-    measured counterparts, so the rendered report is self-contained.
+    ``paper_claims`` records the published numbers; ``observations`` is
+    filled by the builder with this repository's counterparts (measured,
+    or labelled as model output), so the rendered report is
+    self-contained.
     """
 
     figure_id: str
@@ -33,11 +38,6 @@ class FigureSeries:
             )
         self.series[name] = values
 
-    def ratio(self, a: str, b: str) -> float:
-        """Mean ratio of two series minus one (the paper's +x.xx% style)."""
-        va, vb = self.series[a], self.series[b]
-        return sum(x / y for x, y in zip(va, vb)) / len(va) - 1.0
-
     def to_table(self) -> str:
         headers = [self.x_label] + list(self.series)
         rows = []
@@ -51,7 +51,7 @@ class FigureSeries:
             for key in sorted(set(self.paper_claims) | set(self.observations)):
                 paper = self.paper_claims.get(key, "-")
                 ours = self.observations.get(key, "-")
-                parts.append(f"  {key}: paper {paper} | measured {ours}")
+                parts.append(f"  {key}: paper {paper} | here {ours}")
         return "\n".join(parts)
 
     def to_json(self) -> str:
@@ -69,3 +69,20 @@ class FigureSeries:
 def observed_percent(value: float) -> str:
     """Shared formatting for observation entries."""
     return format_percent(value)
+
+
+def host_summary() -> str:
+    """One line naming where a measurement ran: OS, architecture and CPU
+    count, NumPy and its BLAS, and the BLAS thread setting the process
+    started with (the BLAS reads it once, at load)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # older NumPy: no dict mode
+        blas_name = "unknown BLAS"
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return (
+        f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
+        f"Python {platform.python_version()}, NumPy {np.__version__} "
+        f"({blas_name}), OPENBLAS_NUM_THREADS={threads}"
+    )

@@ -17,12 +17,6 @@ import numpy as np
 from repro.util.errors import ConfigError
 from repro.util.rng import make_rng
 
-#: the paper's sweep sizes
-SERIAL_SIZES = (2048, 4096, 6144, 8192, 10240)
-PARALLEL_SIZES = (512, 1024, 2048, 4096, 8192, 12288, 16384, 20480)
-#: laptop-scale stand-ins used by the real-execution benchmarks
-BENCH_SIZES = (128, 256, 384, 512)
-
 
 @dataclass(frozen=True)
 class Workload:

@@ -7,6 +7,10 @@ partition the run's work — ``pack`` (pack-A/pack-B passes), ``compute``
 (verification rounds) and ``recover`` (escalation-ladder legs). By
 construction these spans never nest inside each other (recovery legs run
 their inner drivers untraced), so summing durations per category is safe.
+In a parallel run several logical threads (lanes) record spans at once,
+so the sums are *per-thread* time and every share is taken over
+per-thread time too: each lane's own spans plus its remainder up to the
+run's wall time.
 
 :func:`phase_report` lines those totals up against a
 :class:`~repro.perfmodel.gemm_model.PerfBreakdown`. The absolute seconds
@@ -39,25 +43,38 @@ _PREDICTED = {
 
 
 def phase_totals(events) -> dict[str, float]:
-    """Measured seconds per phase category (plus ``total`` and ``other``).
+    """Measured per-thread seconds per phase category, plus ``other``,
+    ``total``, ``wall`` (seconds) and ``lanes`` (a count).
 
-    ``total`` is the duration of the root ``gemm`` span when present (the
-    longest if several — recovery epochs start nested drivers' roots are
-    suppressed), else the sum of the phases. ``other`` is the untraced
-    remainder: driver loop glue, result assembly, Python overhead.
+    ``wall`` is the duration of the root ``gemm`` span (the longest if
+    several — recovery epochs' nested drivers suppress their roots), and
+    ``lanes`` the number of logical threads that recorded a phase span or
+    the root. Each lane is charged ``max(wall, its own phase sum)``;
+    ``total`` is that per-thread time summed over lanes, and ``other`` the
+    lanes' untraced remainder: driver loop glue, result assembly, Python
+    overhead, and a fail-stopped thread's time after it died. The phase
+    rows and ``other`` therefore add up to ``total``. A serial trace has
+    one lane, so ``total`` is the root span's duration; with no root span
+    each lane's time is its own phase sum and ``other`` is zero.
     """
     totals = {cat: 0.0 for cat in PHASE_CATS}
-    root = 0.0
+    per_lane: dict[int, float] = {}
+    wall = 0.0
     for e in events:
         if not isinstance(e, TraceEvent) or e.ph != "X":
             continue
+        dur = (e.dur_us or 0.0) / 1e6
         if e.cat in totals:
-            totals[e.cat] += (e.dur_us or 0.0) / 1e6
+            totals[e.cat] += dur
+            per_lane[e.tid] = per_lane.get(e.tid, 0.0) + dur
         elif e.cat == "driver" and e.name == "gemm":
-            root = max(root, (e.dur_us or 0.0) / 1e6)
-    phase_sum = sum(totals.values())
-    totals["total"] = root if root > 0.0 else phase_sum
-    totals["other"] = max(0.0, totals["total"] - phase_sum)
+            wall = max(wall, dur)
+            per_lane.setdefault(e.tid, 0.0)
+    total = sum(max(wall, spent) for spent in per_lane.values())
+    totals["other"] = max(0.0, total - sum(totals.values()))
+    totals["total"] = total
+    totals["wall"] = wall
+    totals["lanes"] = len(per_lane)
     return totals
 
 
@@ -75,6 +92,7 @@ class PhaseReport:
     """Measured-vs-predicted phase table for one traced run."""
 
     rows: list[PhaseRow]
+    #: per-thread time: the sum over lanes (see :func:`phase_totals`)
     measured_total_s: float
     predicted_total_s: float | None
     #: fused checksum+verify work as a fraction of the *rest* of the run —
@@ -82,6 +100,8 @@ class PhaseReport:
     checksum_overhead_measured: float | None = None
     checksum_overhead_predicted: float | None = None
     mode: str | None = None
+    lanes: int = 1
+    wall_s: float = 0.0
     extra: dict = field(default_factory=dict)
 
     def to_table(self) -> str:
@@ -104,6 +124,11 @@ class PhaseReport:
             f"{'total':<10s} {self.measured_total_s * 1e3:9.3f} ms "
             f"{100.0:6.1f}% {total_pred} {100.0:6.1f}%"
         )
+        if self.lanes > 1:
+            lines.append(
+                f"measured shares are of per-thread time summed over "
+                f"{self.lanes} lanes (wall {self.wall_s * 1e3:.3f} ms)"
+            )
         if self.checksum_overhead_measured is not None:
             pred = (f" (model: {self.checksum_overhead_predicted * 100:.2f}%)"
                     if self.checksum_overhead_predicted is not None else "")
@@ -163,4 +188,6 @@ def phase_report(events, breakdown=None) -> PhaseReport:
         checksum_overhead_measured=overhead,
         checksum_overhead_predicted=overhead_pred,
         mode=breakdown.mode if breakdown is not None else None,
+        lanes=int(totals["lanes"]),
+        wall_s=totals["wall"],
     )

@@ -1,34 +1,35 @@
-"""Analytic performance model of the (FT-)GEMM on the simulated machine.
+"""Analytic performance model of the (FT-)GEMM on the paper's testbed.
 
-We cannot time AVX-512 assembly from Python, so the paper's GFLOPS curves
-are regenerated from a calibrated analytical model:
+Every performance number this package publishes is measured
+(:func:`repro.bench.figures.fig2a_serial`, ``perfbench``). The model
+stays for what a measurement here cannot show: how the same algorithm
+would spend its time on the paper's Xeon W-2255, printed *next to* a
+measurement and labelled as model output.
 
 - :mod:`repro.perfmodel.traffic` — DRAM byte legs of the blocked algorithm
   (packing passes, B̃ spill, C update streams) computed from the *actual*
-  block partition, plus the per-mode fault-tolerance extras: the fused
-  scheme adds only flops; the classic scheme adds the O(n²) memory passes
-  the paper eliminates;
+  block partition; the fused scheme adds no bytes;
 - :mod:`repro.perfmodel.timing` — converts compute cycles and memory bytes
   into seconds with a bounded-overlap roofline;
 - :mod:`repro.perfmodel.gemm_model` — :class:`GemmPerfModel`, the per-mode
-  (ori / ft / classic), per-thread-count end-to-end model producing
-  :class:`PerfBreakdown` records;
-- :mod:`repro.perfmodel.overhead` — fused-vs-classic overhead curves (the
-  paper's "from about 15 % to 2.94 %" claim);
+  (ori / ft), per-thread-count end-to-end model producing
+  :class:`PerfBreakdown` records (the predicted column of the trace phase
+  table, the blocking tuner's score, the strong-scaling table);
 - :mod:`repro.perfmodel.roofline` — textbook roofline helpers used by docs
-  and tests.
+  and tests;
+- :mod:`repro.perfmodel.validate` — exact expected counters diffed
+  against real runs.
 
-Calibration philosophy (DESIGN.md §5): machine peaks and cache geometry are
-hardware facts; a single ``kernel_sustained_eff`` constant captures how
-close a hand-tuned kernel gets to peak; the *FT overheads are not
-calibrated* — they emerge from counted checksum flops and traffic.
+Machine peaks and cache geometry are hardware facts; a single
+``kernel_sustained_eff`` constant captures how close a hand-tuned kernel
+gets to peak, and ``ft_kernel_penalty`` the fused kernels' instruction-mix
+cost (DESIGN.md §5).
 """
 
 from repro.perfmodel.constants import ModelConstants
-from repro.perfmodel.traffic import TrafficReport, gemm_dram_traffic, ft_extra_traffic
+from repro.perfmodel.traffic import TrafficReport, gemm_dram_traffic
 from repro.perfmodel.timing import TimingModel
 from repro.perfmodel.gemm_model import GemmPerfModel, PerfBreakdown, MODES
-from repro.perfmodel.overhead import overhead_curve, OverheadPoint
 from repro.perfmodel.roofline import (
     arithmetic_intensity,
     attainable_gflops,
@@ -46,13 +47,10 @@ __all__ = [
     "ModelConstants",
     "TrafficReport",
     "gemm_dram_traffic",
-    "ft_extra_traffic",
     "TimingModel",
     "GemmPerfModel",
     "PerfBreakdown",
     "MODES",
-    "overhead_curve",
-    "OverheadPoint",
     "arithmetic_intensity",
     "attainable_gflops",
     "ridge_point",

@@ -1,18 +1,17 @@
-"""End-to-end performance model of FT-GEMM and its baselines' structure.
+"""End-to-end performance model of FT-GEMM on the paper's testbed.
 
 :class:`GemmPerfModel` prices one GEMM call in a given *mode*:
 
 - ``"ori"`` — the plain blocked kernel ("FT-GEMM: Ori");
 - ``"ft"`` — the fused fault-tolerant scheme: the counted checksum flops
   run at reduced SIMD efficiency, the packing/macro loops carry a small
-  instruction-mix penalty, and **no extra DRAM traffic** exists;
-- ``"classic"`` — traditional (non-fused) online ABFT: same checksum math,
-  but every encode/verify is a separate memory pass priced by the traffic
-  model.
+  instruction-mix penalty, and **no extra DRAM traffic** exists.
 
 The checksum flop counts mirror the implementation exactly (compare
-``Counters.checksum_flops`` from a real run — the property tests do), so
-the modeled FT overhead is derived, not asserted.
+``Counters.checksum_flops`` from a real run — the property tests do).
+The model prices a machine this package does not run on; its numbers are
+printed next to measurements (the trace phase table, the tuner's score),
+never in place of them.
 """
 
 from __future__ import annotations
@@ -23,13 +22,13 @@ from repro.gemm.blocking import BlockingConfig, iter_blocks
 from repro.parallel.partition import partition_rows
 from repro.perfmodel.constants import ModelConstants
 from repro.perfmodel.timing import TimingModel
-from repro.perfmodel.traffic import ft_extra_traffic, gemm_dram_traffic
+from repro.perfmodel.traffic import gemm_dram_traffic
 from repro.simcpu.machine import MachineSpec
 from repro.simcpu.vector import VectorUnit
 from repro.util.errors import ConfigError
 from repro.util.validation import check_in
 
-MODES = ("ori", "ft", "classic")
+MODES = ("ori", "ft")
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,6 @@ class PerfBreakdown:
     checksum_seconds: float
     memory_seconds: float
     sync_seconds: float
-    recovery_seconds: float
     flops: float
     checksum_flops: float
     dram_bytes: float
@@ -92,24 +90,16 @@ class GemmPerfModel:
         if self.mode == "ori":
             return 0.0
         n_j = len(list(iter_blocks(n, self.blocking.nc)))
-        n_p = len(list(iter_blocks(k, self.blocking.kc)))
-        if self.mode == "ft":
-            # the paper's scheme uses a scalar round-off threshold; the
-            # optional per-entry envelope mode of our implementation costs
-            # roughly 2x these counts and is priced by its own counters
-            flops = 2.0 * m * k  # upfront A^r + running max tracking
-            flops += 3.0 * k * n  # fused into B packing: B^c + C^r GEMV
-            flops += 2.0 * m * k * n_j  # fused into A packing: C^c GEMV
-            flops += 2.0 * m * n  # register-level reference checksums
-            if beta_nonzero:
-                flops += 3.0 * m * n  # initial C encodings + DMR duplicate
-            flops += 2.0 * (m + n)  # residuals + threshold compares
-            return flops
-        # classic: dedicated encodes + per-K-block verification sweeps
-        flops = 3.0 * m * k + 3.0 * k * n  # A^r, A·B^c, B^c, A^r·B
-        flops += 2.0 * m * n  # initial C encode
-        flops += 2.0 * m * n * n_p  # online verification each K-block
-        flops += 2.0 * (m + n)
+        # the paper's scheme uses a scalar round-off threshold; the
+        # optional per-entry envelope mode of our implementation costs
+        # roughly 2x these counts and is priced by its own counters
+        flops = 2.0 * m * k  # upfront A^r + running max tracking
+        flops += 3.0 * k * n  # fused into B packing: B^c + C^r GEMV
+        flops += 2.0 * m * k * n_j  # fused into A packing: C^c GEMV
+        flops += 2.0 * m * n  # register-level reference checksums
+        if beta_nonzero:
+            flops += 3.0 * m * n  # initial C encodings + DMR duplicate
+        flops += 2.0 * (m + n)  # residuals + threshold compares
         return flops
 
     def _per_thread_compute_cycles(
@@ -147,13 +137,10 @@ class GemmPerfModel:
         k: int | None = None,
         *,
         beta_nonzero: bool = False,
-        injected_errors: int = 0,
     ) -> PerfBreakdown:
         """Price one ``m x n x k`` call (square when n/k omitted)."""
         n = m if n is None else n
         k = m if k is None else k
-        if injected_errors < 0:
-            raise ConfigError(f"injected_errors must be >= 0, got {injected_errors}")
         main_cy, pack_cy, checksum_cy = self._per_thread_compute_cycles(
             m, n, k, beta_nonzero=beta_nonzero
         )
@@ -165,38 +152,15 @@ class GemmPerfModel:
             m, n, k, self.blocking, self.machine, self.constants,
             beta_nonzero=beta_nonzero,
         )
-        dram_bytes = traffic.total
         memory_s = self.timing.dram_seconds(traffic.total)
 
         sync_s = self.timing.sync_seconds(self._barriers(n, k))
-        recovery_s = (
-            injected_errors * self.constants.error_recovery_seconds
-            if self.mode != "ori"
-            else 0.0
+        # fused checksum work is pure extra compute riding existing passes —
+        # it lands on the compute leg and overlaps memory
+        total = (
+            self.timing.combine(compute_s + pack_s + checksum_s, memory_s)
+            + sync_s
         )
-        if self.mode == "classic":
-            # classic ABFT's encode/verify sweeps are standalone phases
-            # between kernel invocations: their memory traffic cannot hide
-            # under the GEMM's compute (that hiding is exactly what the
-            # fused scheme buys), so they add serially.
-            extra_bytes = ft_extra_traffic(m, n, k, self.blocking, mode="classic")
-            dram_bytes += extra_bytes
-            classic_s = max(self.timing.dram_seconds(extra_bytes), checksum_s)
-            total = (
-                self.timing.combine(compute_s + pack_s, memory_s)
-                + classic_s
-                + sync_s
-                + recovery_s
-            )
-            checksum_s = classic_s
-        else:
-            # fused checksum work is pure extra compute riding existing
-            # passes — it lands on the compute leg and overlaps memory
-            total = (
-                self.timing.combine(compute_s + pack_s + checksum_s, memory_s)
-                + sync_s
-                + recovery_s
-            )
         return PerfBreakdown(
             m=m,
             n=n,
@@ -209,10 +173,9 @@ class GemmPerfModel:
             checksum_seconds=checksum_s,
             memory_seconds=memory_s,
             sync_seconds=sync_s,
-            recovery_seconds=recovery_s,
             flops=2.0 * m * n * k,
             checksum_flops=self._checksum_flops(m, n, k, beta_nonzero=beta_nonzero),
-            dram_bytes=dram_bytes,
+            dram_bytes=traffic.total,
         )
 
     def seconds(self, m: int, n: int | None = None, k: int | None = None, **kw) -> float:

@@ -12,9 +12,8 @@ regime are handled exactly:
 - **C** is read+written once per K-block (the classic GotoBLAS C-update
   stream), plus the initial β-scaling pass.
 
-The fused FT mode adds **zero** bytes here — that is the paper's point —
-while the classic (non-fused) ABFT mode pays the checksum encode passes and
-a per-K-block verification sweep over C.
+The fused FT scheme adds **zero** bytes here — that is the paper's point:
+every checksum operation rides a pass that already moves the data.
 """
 
 from __future__ import annotations
@@ -35,17 +34,10 @@ class TrafficReport:
     b_bytes: float
     btilde_spill_bytes: float
     c_bytes: float
-    ft_extra_bytes: float = 0.0
 
     @property
     def total(self) -> float:
-        return (
-            self.a_bytes
-            + self.b_bytes
-            + self.btilde_spill_bytes
-            + self.c_bytes
-            + self.ft_extra_bytes
-        )
+        return self.a_bytes + self.b_bytes + self.btilde_spill_bytes + self.c_bytes
 
 
 def _spill_fraction(bytes_needed: float, budget: float) -> float:
@@ -107,30 +99,3 @@ def gemm_dram_traffic(
         c_bytes=c_bytes,
     )
 
-
-def ft_extra_traffic(
-    m: int,
-    n: int,
-    k: int,
-    blocking: BlockingConfig,
-    *,
-    mode: str,
-) -> float:
-    """Extra DRAM bytes the fault-tolerance scheme adds.
-
-    ``mode="ft"`` (fused): zero — every checksum operation rides a pass
-    that already moves the data (the paper's contribution).
-
-    ``mode="classic"``: the traditional online ABFT memory passes —
-    dedicated sweeps of A and B for ``A^r``/``B^c`` encoding, dedicated
-    GEMV sweeps re-reading A and B for the predicted C checksums, and one
-    verification sweep over C per K-block (online verification).
-    """
-    if mode == "ft":
-        return 0.0
-    if mode != "classic":
-        raise ConfigError(f"mode must be 'ft' or 'classic', got {mode!r}")
-    n_p = len(list(iter_blocks(k, blocking.kc)))
-    encode = 2 * m * k * DOUBLE + 2 * k * n * DOUBLE  # A twice, B twice
-    verify = m * n * DOUBLE * (n_p + 1)  # C swept per K-block + final
-    return float(encode + verify)

@@ -12,6 +12,8 @@ A formed batch reaches a worker — a thread of
   ``get_kernel(request.kernel).run(...)``, with retries and exponential
   backoff, asking ``injector_for(attempt)`` for every attempt's fault
   injector;
+- :func:`first_drawn` draws a unit's fault over its members' own request
+  ids, so a request meets the same fault odds stacked or alone;
 - :func:`answers` hands each request its share of the unit's result
   (consecutive row slices of a stacked product).
 
@@ -195,6 +197,18 @@ def units_of(batch) -> list[tuple]:
         kernel = kernels.get_kernel(batch.items[0].kernel)
         return [(kernel.stack(batch.items, batch.batch_id), batch.items)]
     return [(request, [request]) for request in batch.items]
+
+
+def first_drawn(draw, members):
+    """The first non-None ``draw(request_id)`` over a unit's members, in
+    member order. A stacked unit is struck when any request it carries
+    would be struck on its own, so whether a request meets a fault does
+    not depend on how the scheduler happened to batch it."""
+    for member in members:
+        drawn = draw(member.request_id)
+        if drawn is not None:
+            return drawn
+    return None
 
 
 def answers(unit, members, result) -> list[tuple]:

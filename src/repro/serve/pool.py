@@ -41,7 +41,7 @@ import threading
 import time
 
 from repro.obs.metrics import NULL_METRICS
-from repro.serve.execute import Worker, answers, run, units_of
+from repro.serve.execute import Worker, answers, first_drawn, run, units_of
 from repro.serve.request import GemmRequest, GemmResponse
 from repro.serve.scheduler import Batch, BatchScheduler
 
@@ -226,8 +226,11 @@ class WorkerPool:
         def injector_for(attempt):
             if factory is None:
                 return None
-            return factory(unit.shape, attempt, unit.request_id,
-                           self.config, unit.kernel)
+            return first_drawn(
+                lambda request_id: factory(unit.shape, attempt, request_id,
+                                           self.config, unit.kernel),
+                members,
+            )
 
         outcome = run(
             unit, worker, degraded=degraded, injector_for=injector_for,

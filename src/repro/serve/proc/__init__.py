@@ -31,7 +31,7 @@ from repro.serve.proc.gateway import AsyncGateway
 from repro.serve.proc.heartbeat import HeartbeatBoard, HeartbeatMonitor
 from repro.serve.proc.pool import ProcWorkerPool
 from repro.serve.proc.shm import ShmRegistry, ShmTransport
-from repro.serve.proc.spawnctx import spawn_context, worker_seed
+from repro.serve.proc.spawnctx import spawn_context
 
 __all__ = [
     "AsyncGateway",
@@ -41,5 +41,4 @@ __all__ = [
     "ShmRegistry",
     "ShmTransport",
     "spawn_context",
-    "worker_seed",
 ]

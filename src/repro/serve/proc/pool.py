@@ -51,10 +51,10 @@ import numpy as np
 
 from repro.kernels import get_kernel
 from repro.obs.metrics import NULL_METRICS
-from repro.serve.execute import answers, units_of
+from repro.serve.execute import answers, first_drawn, units_of
 from repro.serve.proc.heartbeat import HeartbeatBoard, HeartbeatMonitor
 from repro.serve.proc.shm import ShmRegistry, ShmTransport
-from repro.serve.proc.spawnctx import spawn_context, worker_seed
+from repro.serve.proc.spawnctx import spawn_context
 from repro.serve.proc.worker import WorkerBootstrap, worker_main
 from repro.serve.request import GemmResponse
 from repro.serve.scheduler import Batch, BatchScheduler
@@ -213,7 +213,6 @@ class ProcWorkerPool:
         bootstrap = WorkerBootstrap(
             slot=slot,
             incarnation=incarnation,
-            seed=worker_seed(self.config.proc_seed, slot, incarnation),
             service_config=self.config,
             beat_interval_s=self.config.proc_heartbeat_s,
         )
@@ -355,14 +354,31 @@ class ProcWorkerPool:
 
     def _capacity_possible(self) -> bool:
         """Can any worker ever take a batch again? False only when every
-        slot is retired and the respawn budget is spent."""
+        slot is retired and the respawn budget is spent.
+
+        A death during a drain respawns nothing when it sees no work, yet
+        the dispatcher may be holding the next flight right then. So when
+        no worker is live and no death protocol is running, no
+        replacement is on its way, and the dispatcher respawns a dead
+        slot itself rather than wait for one forever."""
         with self._lock:
-            if any(
+            if self._death_pending or any(
                 h.state in ("ready", "probing")
                 for h in self._handles.values()
             ):
                 return True
-            return self._respawns < self.config.proc_respawn_budget
+            if self._respawns >= self.config.proc_respawn_budget:
+                return False
+            dead = min(
+                (h for h in self._handles.values() if h.state == "dead"),
+                key=lambda h: h.slot, default=None,
+            )
+            if dead is None:
+                return False
+            self._respawns += 1
+        self._spawn(dead.slot, dead.incarnation + 1,
+                    probation=self.config.proc_probation)
+        return True
 
     def _fail_flight(self, flight: _Flight, error: str) -> None:
         for ref in flight.refs:
@@ -420,7 +436,7 @@ class ProcWorkerPool:
             flight, handle, head.shared_operand
         )
         items = []
-        for unit, _ in flight.units:
+        for unit, members in flight.units:
             aux = kernel.aux_operand(unit)
             refs = {
                 "a": self.transport.stage(kernel.unit_operand(unit)),
@@ -431,7 +447,11 @@ class ProcWorkerPool:
             items.append({
                 "request_id": unit.request_id,
                 "params": kernel.wire_params(unit),
-                "fault": spec_of(unit.request_id, self.config, unit.kernel),
+                "fault": first_drawn(
+                    lambda request_id: spec_of(request_id, self.config,
+                                               unit.kernel),
+                    members,
+                ),
                 **refs,
             })
         flight.result_refs = [item["result"] for item in items]

@@ -16,19 +16,11 @@ default out from under embedding applications — while still being the
 one authoritative spot the whole package gets its start method from
 (nothing under ``repro.serve.proc`` may call ``multiprocessing``
 directly; the analyzer's import conventions and the tests pin this).
-
-Determinism rides along: :func:`worker_seed` derives the explicit RNG
-seed each worker bootstrap carries, from the service seed, the worker
-slot and the incarnation number — so a respawned worker draws a fresh
-but reproducible stream, and a process-tier run replays identically on
-any platform regardless of spawn timing.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-
-from repro.util.rng import derive_seed
 
 _CTX: multiprocessing.context.BaseContext | None = None
 
@@ -40,13 +32,3 @@ def spawn_context() -> multiprocessing.context.BaseContext:
         _CTX = multiprocessing.get_context("spawn")
     return _CTX
 
-
-def worker_seed(service_seed: int, slot: int, incarnation: int) -> int:
-    """The explicit RNG seed a worker bootstrap carries.
-
-    Stable across platforms and interpreter runs (``derive_seed`` folds
-    strings through their bytes, never ``hash``), and distinct per
-    (slot, incarnation) so a replacement process never replays its
-    predecessor's stream.
-    """
-    return derive_seed(service_seed, "proc-worker", slot, incarnation)

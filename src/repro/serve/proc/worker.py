@@ -19,12 +19,11 @@ them route through ``_complete``. The child writes each result array
 into its parent-allocated result slot and ships the result object with
 the array detached; the parent re-attaches the fetched array.
 
-Determinism: the bootstrap carries an explicit seed derived from
-(service seed, slot, incarnation) — see
-:func:`~repro.serve.proc.spawnctx.worker_seed` — and every fault an
-execution sees is rebuilt in-child from a plain *fault spec* dict the
-parent derived from the workload seed. Nothing in a process-tier run
-depends on spawn timing or platform RNG state.
+Determinism: the child owns no random stream. Every fault an execution
+sees is rebuilt in-child from a plain *fault spec* dict the parent
+derived from the workload seed, and a probation probe draws its operands
+from the seed its ``probe`` message carries. Nothing in a process-tier
+run depends on spawn timing or platform RNG state.
 
 Chaos self-kills: a batch message may carry a ``kill`` phase. The child
 then SIGKILLs **itself** at that phase boundary — ``pack`` (operands
@@ -63,8 +62,6 @@ class WorkerBootstrap:
 
     slot: int
     incarnation: int
-    #: explicit RNG seed (probe operands; never platform state)
-    seed: int
     #: the service's :class:`~repro.serve.service.ServiceConfig` (typed
     #: loosely: importing the service here would cycle through the proc
     #: package the service itself constructs)
@@ -89,7 +86,6 @@ class _ChildState:
         self.bootstrap = bootstrap
         self.config = bootstrap.service_config
         self.metrics = MetricsRegistry()
-        self.rng = make_rng(bootstrap.seed)
         #: hot-B cache mirrored with the parent dispatcher: the parent
         #: only sends ``{"kind": "cached"}`` refs for keys it inserted
         #: earlier on this same (ordered) pipe, with the same bound and

@@ -136,7 +136,8 @@ class ServiceConfig:
     proc_b_cache_entries: int = 8
     #: respawned workers must pass a probation probe before readmission
     proc_probation: bool = True
-    #: seed for per-worker RNG derivation (determinism across platforms)
+    #: seed the probation probes derive their operands from, per slot and
+    #: incarnation (determinism across platforms)
     proc_seed: int = 0
 
     def validate(self) -> "ServiceConfig":

@@ -105,7 +105,8 @@ class WorkloadConfig:
     #: mean arrival rate (requests/second); inter-arrival times are
     #: exponential (Poisson arrivals)
     arrival_rate: float = 50.0
-    #: fraction of first execution attempts that receive a fault plan
+    #: fraction of requests whose first execution attempt receives a
+    #: fault plan (a stacked unit is struck when any member is)
     fault_rate: float = 0.0
     #: of the faulted attempts: how many carry a fail-stop on top
     #: (needs ``gemm_threads >= 2``; silently skipped otherwise)
@@ -443,13 +444,18 @@ def run_workload(
     tickets = []
     t_start = time.perf_counter()
     deadline = t_start + workload.duration_s
+    # arrivals keep an absolute schedule: a submitter that wakes late (a
+    # worker thread held the GIL) submits what is overdue at once rather
+    # than stretching every later gap to the service's own pace
+    arrival = t_start
     for request in requests:
         tickets.append((request, service.submit(request)))
-        gap = rng.exponential(1.0 / workload.arrival_rate)
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
+        arrival += rng.exponential(1.0 / workload.arrival_rate)
+        now = time.perf_counter()
+        if now >= deadline:
             break
-        time.sleep(min(gap, remaining))
+        if arrival > now:
+            time.sleep(min(arrival, deadline) - now)
     service.drain()
     elapsed = time.perf_counter() - t_start
 

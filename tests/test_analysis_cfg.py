@@ -4,8 +4,8 @@ The dataflow rules are only as honest as the graph under them, so the
 edge semantics the rules rely on are pinned directly: exception edges
 route through handlers and finallys (never around a finally), the else
 clause of a try sits outside its handlers' protection, branch edges
-carry their test expression, and the reaching-defs/dominator/control-
-dependence queries give textbook answers on small functions.
+carry their test expression, and the reaching-defs queries give
+textbook answers on small functions.
 """
 
 import ast
@@ -226,38 +226,6 @@ def test_reaching_defs_kill_and_merge():
     # inside the true arm only the redefinition is live... after it
     redef = node_at(cfg, 4)
     assert {cfg.nodes[d].line for d in defs[redef.index]["x"]} == {2}
-
-
-def test_dominators_and_postdominators():
-    cfg = cfg_of(
-        "def f(a):\n"
-        "    x = 1\n"
-        "    if a:\n"
-        "        y = 2\n"
-        "    z = 3\n"
-    )
-    doms = cfg.dominators()
-    x, y, z = (node_at(cfg, n) for n in (2, 4, 5))
-    assert x.index in doms[y.index] and x.index in doms[z.index]
-    assert y.index not in doms[z.index]
-    pdoms = cfg.postdominators()
-    assert z.index in pdoms[x.index]
-    assert y.index not in pdoms[x.index]
-
-
-def test_control_deps_finds_guarding_branch():
-    cfg = cfg_of(
-        "def f(a):\n"
-        "    if a:\n"
-        "        x = 1\n"
-        "    y = 2\n"
-    )
-    deps = cfg.control_deps()
-    branch = node_at(cfg, 2)
-    x = node_at(cfg, 3)
-    y = node_at(cfg, 4)
-    assert (branch.index, "true") in deps[x.index]
-    assert deps[y.index] == []
 
 
 def test_reaches_without_blocks_paths_through():

@@ -1,51 +1,32 @@
-"""Baseline libraries and the FT-GEMM adapter."""
+"""The unprotected baselines of the measured Fig. 2(a) sweep: FT-GEMM Ori
+(the same loop nest with fault tolerance off, timed as ``BlockedGemm``)."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    BLIS,
-    MKL,
-    FTGemmLibrary,
-    OpenBLAS,
-    all_libraries,
-)
-from repro.baselines.profiles import PROFILES, EfficiencyProfile
 from repro.core.config import FTGemmConfig
+from repro.core.ftgemm import FTGemm
 from repro.faults.injector import FaultInjector, InjectionPlan
 from repro.faults.models import Additive
 from repro.gemm.blocking import BlockingConfig
-from repro.util.errors import ConfigError
+from repro.gemm.driver import BlockedGemm
 
 
-def test_all_libraries_set():
-    names = {lib.name for lib in all_libraries()}
-    assert names == {"MKL", "OpenBLAS", "BLIS"}
-
-
-def test_profiles_validated():
-    with pytest.raises(ConfigError):
-        EfficiencyProfile("x", 1.5, 0.8, 0.8, 0.8)
-    with pytest.raises(ConfigError):
-        EfficiencyProfile("x", 0.8, 0.8, 0.8, 0.8, serial_shape=0.0)
-
-
-def test_profile_efficiency_interpolates():
-    p = EfficiencyProfile("x", serial_eff_ref=0.9, serial_eff_inf=0.8,
-                          parallel_eff_ref=0.5, parallel_eff_inf=0.9)
-    assert p.efficiency(2048) == pytest.approx(0.9)
-    assert p.efficiency(10**9) == pytest.approx(0.8, abs=1e-3)
-    assert p.efficiency(512, threads=10) == pytest.approx(0.5)
-    assert p.efficiency(10**9, threads=10) == pytest.approx(0.9, abs=1e-3)
+def _ori():
+    return FTGemm(FTGemmConfig.unprotected(blocking=BlockingConfig.small()))
 
 
 def test_baseline_gemm_is_trusted_product(rng):
     a = rng.standard_normal((10, 8))
     b = rng.standard_normal((8, 12))
     c0 = rng.standard_normal((10, 12))
-    for lib in all_libraries():
-        out = lib.gemm(a, b, c0, alpha=2.0, beta=-1.0)
-        np.testing.assert_allclose(out, 2.0 * (a @ b) - c0, rtol=1e-12)
+    expected = 2.0 * (a @ b) - c0
+    out = BlockedGemm(BlockingConfig.small()).gemm(
+        a, b, c0.copy(), alpha=2.0, beta=-1.0
+    )
+    np.testing.assert_allclose(out, expected, rtol=1e-12)
+    result = _ori().gemm(a, b, c0.copy(), alpha=2.0, beta=-1.0)
+    np.testing.assert_allclose(result.c, expected, rtol=1e-12)
 
 
 def test_baseline_has_no_fault_tolerance(rng):
@@ -53,76 +34,6 @@ def test_baseline_has_no_fault_tolerance(rng):
     inj = FaultInjector(
         InjectionPlan.single("microkernel", 0, model=Additive(magnitude=99.0))
     )
-    out = MKL().gemm(a, a, injector=inj)
-    assert np.abs(out - a @ a).max() == pytest.approx(99.0)
-
-
-def test_modeled_gflops_below_peak():
-    for lib in all_libraries():
-        for threads in (1, 10):
-            for n in (512, 2048, 10240):
-                gf = lib.modeled_gflops(n, threads=threads)
-                assert 0 < gf < lib.machine.peak_gflops(threads)
-
-
-def test_modeled_seconds_consistent():
-    lib = OpenBLAS()
-    sec = lib.modeled_seconds(2048)
-    gf = lib.modeled_gflops(2048)
-    assert sec == pytest.approx(2 * 2048**3 / (gf * 1e9), rel=1e-9)
-
-
-def test_modeled_threads_validated():
-    with pytest.raises(ConfigError):
-        BLIS().modeled_gflops(1024, threads=99)
-
-
-def test_perf_sample():
-    s = MKL().perf_sample(4096, threads=10)
-    assert s.library == "MKL" and s.n == 4096
-    assert s.seconds > 0
-
-
-def test_ftgemm_library_variants(rng):
-    a = rng.standard_normal((20, 15))
-    b = rng.standard_normal((15, 25))
-    cfg = FTGemmConfig(blocking=BlockingConfig.small())
-    for variant in ("ori", "ft"):
-        config = cfg if variant == "ft" else cfg.with_(enable_ft=False)
-        lib = FTGemmLibrary(variant, config=config)
-        out = lib.gemm(a, b)
-        np.testing.assert_allclose(out, a @ b, rtol=1e-11)
-
-
-def test_ftgemm_library_parallel_driver(rng):
-    cfg = FTGemmConfig(blocking=BlockingConfig.small())
-    lib = FTGemmLibrary("ft", threads=3, config=cfg)
-    a = rng.standard_normal((18, 12))
-    b = rng.standard_normal((12, 20))
-    result = lib.gemm_result(a, b)
-    assert result.verified
-    np.testing.assert_allclose(result.c, a @ b, rtol=1e-11)
-
-
-def test_ftgemm_library_names():
-    assert FTGemmLibrary("ori").name == "FT-GEMM: Ori"
-    assert "10t" in FTGemmLibrary("ft", threads=10).name
-
-
-def test_ftgemm_library_modeled_perf_derived():
-    ft = FTGemmLibrary("ft")
-    ori = FTGemmLibrary("ori")
-    assert ori.modeled_gflops(4096) > ft.modeled_gflops(4096)
-    # injected errors cost a little
-    assert ft.modeled_gflops(4096, injected_errors=20) < ft.modeled_gflops(4096)
-
-
-def test_ftgemm_library_config_conflict():
-    with pytest.raises(ConfigError):
-        FTGemmLibrary("ori", config=FTGemmConfig())  # enable_ft=True conflicts
-    with pytest.raises(ConfigError):
-        FTGemmLibrary("turbo")
-
-
-def test_profiles_registry_complete():
-    assert set(PROFILES) == {"MKL", "OpenBLAS", "BLIS"}
+    result = _ori().gemm(a, a, injector=inj)
+    assert not result.ft_enabled and result.detected == 0
+    assert np.abs(result.c - a @ a).max() == pytest.approx(99.0)

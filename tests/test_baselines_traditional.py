@@ -73,15 +73,6 @@ def test_pays_extra_memory_where_fused_pays_none(small_config, rng):
     np.testing.assert_allclose(classic.c, fused.c, rtol=1e-12)
 
 
-def test_offline_mode_fewer_verifications(small_config, rng):
-    a = rng.standard_normal((20, 33))  # several K-blocks
-    b = rng.standard_normal((33, 20))
-    online = TraditionalABFT(small_config, online=True).gemm(a, b)
-    offline = TraditionalABFT(small_config, online=False).gemm(a, b)
-    assert online.counters.verifications > offline.counters.verifications
-    assert online.counters.ft_extra_bytes > offline.counters.ft_extra_bytes
-
-
 def test_rejects_unprotected_config():
     with pytest.raises(ConfigError):
         TraditionalABFT(FTGemmConfig.unprotected())

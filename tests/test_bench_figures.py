@@ -2,24 +2,28 @@
 
 import pytest
 
+from repro.baselines.traditional_abft import TraditionalABFT
 from repro.bench.figures import (
     ALL_FIGURES,
     build,
     fig2a_serial,
-    fig2b_parallel,
-    fig2c_serial_injection,
-    fig2d_parallel_injection,
-    overhead_table,
     reliability_table,
 )
 from repro.bench.harness import ExperimentRunner
-from repro.util.errors import ConfigError
+from repro.core.ftgemm import FTGemm
+from repro.gemm.driver import BlockedGemm
+from repro.util.errors import ConfigError, FaultToleranceError
+
+SWEEP_SERIES = {
+    "OpenBLAS", "FT-GEMM Ori", "FT-GEMM w/ FT", "classic ABFT",
+    "Ori/BLAS %", "FT/BLAS %", "fused ov %", "classic ov %",
+}
 
 
 def test_registry_covers_every_panel_and_claim():
     assert set(ALL_FIGURES) == {
-        "fig2a", "fig2b", "fig2c", "fig2d", "overhead", "reliability",
-        "scaling", "serve", "panel_cache", "kernel_mix",
+        "fig2a", "reliability", "scaling", "serve", "panel_cache",
+        "kernel_mix",
     }
 
 
@@ -35,62 +39,50 @@ def test_scaling_table_monotone():
 
 
 def test_fig2a_structure():
-    fig = fig2a_serial(sizes=(2048, 4096))
-    assert fig.x == [2048, 4096]
-    assert set(fig.series) == {
-        "MKL", "OpenBLAS", "BLIS", "FT-GEMM Ori", "FT-GEMM w/ FT",
-    }
-    assert "FT overhead vs Ori" in fig.observations
+    """The measured sweep: one value per size in every series, positive
+    rates, and the paper's claims next to the measured spans."""
+    fig = fig2a_serial(sizes=(64, 96))
+    assert fig.x == [64, 96]
+    assert set(fig.series) == SWEEP_SERIES
+    for name, values in fig.series.items():
+        assert len(values) == 2, name
+    for name in ("OpenBLAS", "FT-GEMM Ori", "FT-GEMM w/ FT", "classic ABFT"):
+        assert all(v > 0 for v in fig.series[name]), name
+    for key in ("Ori vs OpenBLAS", "FT overhead vs Ori",
+                "classic overhead vs Ori"):
+        assert key in fig.paper_claims and key in fig.observations
+    assert "not reproduced here" in fig.observations["MKL, BLIS columns"]
+    assert "OPENBLAS_NUM_THREADS" in fig.observations["testbed"]
 
 
-def test_fig2a_orderings():
-    """The qualitative shape of panel (a): Ori above every baseline, FT
-    between Ori and MKL."""
-    fig = fig2a_serial()
-    for i, _n in enumerate(fig.x):
-        ori = fig.series["FT-GEMM Ori"][i]
-        ft = fig.series["FT-GEMM w/ FT"][i]
-        assert ori > ft > fig.series["MKL"][i]
-        assert ft > fig.series["OpenBLAS"][i]
-        assert ft > fig.series["BLIS"][i]
+@pytest.mark.parametrize("owner", [BlockedGemm, FTGemm], ids=["ori", "ft"])
+def test_fig2a_refuses_a_wrong_product(monkeypatch, owner):
+    """A driver whose C is wrong makes the sweep raise instead of
+    publishing its time."""
+    honest = owner.gemm
+
+    def off_by_one(self, a, b, *args, **kwargs):
+        out = honest(self, a, b, *args, **kwargs)
+        c = getattr(out, "c", out)
+        c[0, 0] += 1.0
+        return out
+
+    monkeypatch.setattr(owner, "gemm", off_by_one)
+    with pytest.raises(FaultToleranceError, match="max"):
+        fig2a_serial(sizes=(64,))
 
 
-def test_fig2b_orderings():
-    """Panel (b): FT slightly under MKL, comparable to OpenBLAS, well above
-    BLIS — at the large-size end."""
-    fig = fig2b_parallel()
-    ft = fig.series["FT-GEMM w/ FT"][-1]
-    assert ft < fig.series["MKL"][-1]
-    assert abs(ft / fig.series["OpenBLAS"][-1] - 1) < 0.05
-    assert ft > 1.1 * fig.series["BLIS"][-1]
+def test_fig2a_refuses_an_unverified_result(monkeypatch):
+    honest = TraditionalABFT.gemm
 
+    def unverified(self, a, b, *args, **kwargs):
+        out = honest(self, a, b, *args, **kwargs)
+        out.verified = False
+        return out
 
-def test_fig2c_ft_nearly_flat_under_errors():
-    fig = fig2c_serial_injection(error_counts=(0, 20))
-    ft = fig.series["FT-GEMM w/ FT"]
-    assert ft[1] < ft[0]  # errors cost something...
-    assert ft[1] > 0.99 * ft[0]  # ...but almost nothing
-    assert "FT-GEMM Ori" not in fig.series
-
-
-def test_fig2d_claims_filled():
-    fig = fig2d_parallel_injection(error_counts=(0, 10))
-    assert "FT vs BLIS" in fig.observations
-    assert fig.series["FT-GEMM w/ FT"][0] > fig.series["BLIS"][0]
-
-
-def test_injection_validation_runs_real_campaigns():
-    fig = fig2c_serial_injection(error_counts=(0, 3), validate=True,)
-    assert "all final results correct" in fig.observations["validation"]
-
-
-def test_overhead_table_claim():
-    fig = overhead_table(sizes=(2048, 4096))
-    assert "overhead" in fig.observations
-    fused = fig.series["fused ov %"]
-    classic = fig.series["classic ov %"]
-    for f, c in zip(fused, classic):
-        assert c > 3 * f
+    monkeypatch.setattr(TraditionalABFT, "gemm", unverified)
+    with pytest.raises(FaultToleranceError, match="did not verify"):
+        fig2a_serial(sizes=(64,))
 
 
 def test_reliability_small():
@@ -99,7 +91,7 @@ def test_reliability_small():
 
 
 def test_build_dispatch():
-    fig = build("fig2a", sizes=(2048,))
+    fig = build("fig2a", sizes=(64,))
     assert fig.figure_id == "fig2a"
     with pytest.raises(ConfigError):
         build("fig9z")
@@ -107,11 +99,11 @@ def test_build_dispatch():
 
 def test_harness_runs_and_persists(tmp_path):
     runner = ExperimentRunner(tmp_path)
-    runner.run("fig2a", sizes=(2048, 4096))
-    runner.run("overhead", sizes=(2048,))
+    runner.run("fig2a", sizes=(64, 96))
+    runner.run("scaling", thread_counts=(1, 2), n=1024)
     assert (tmp_path / "fig2a.txt").exists()
     report = runner.report()
-    assert "fig2a" in report and "overhead" in report
+    assert "fig2a" in report and "scaling" in report
 
 
 def test_harness_report_requires_runs(tmp_path):

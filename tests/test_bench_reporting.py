@@ -25,18 +25,12 @@ def test_add_length_checked(fig):
         fig.add("bad", [1.0])
 
 
-def test_ratio(fig):
-    # mean of (1, 2, 4) - 1 = 4/3
-    assert fig.ratio("lib_a", "lib_b") == pytest.approx(7.0 / 3.0 - 1.0)
-    assert fig.ratio("lib_b", "lib_b") == pytest.approx(0.0)
-
-
 def test_table_contains_everything(fig):
     fig.paper_claims = {"claim": "+10%"}
     fig.observations = {"claim": "+11%"}
     out = fig.to_table()
     assert "figX" in out and "lib_a" in out
-    assert "paper +10%" in out and "measured +11%" in out
+    assert "paper +10%" in out and "here +11%" in out
 
 
 def test_json_roundtrip(fig):

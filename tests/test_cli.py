@@ -82,10 +82,10 @@ def test_bench_single_figure(tmp_path, capsys):
 
 def test_bench_forwarding_through_top_level(tmp_path, capsys):
     code = repro_main(
-        ["bench", "--figure", "overhead", "--out", str(tmp_path)]
+        ["bench", "--figure", "scaling", "--out", str(tmp_path)]
     )
     assert code == 0
-    assert (tmp_path / "overhead.txt").exists()
+    assert (tmp_path / "scaling.txt").exists()
 
 
 def test_unknown_command_rejected():

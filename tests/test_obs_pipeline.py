@@ -15,7 +15,13 @@ from repro.faults.campaign import plan_for_gemm, site_invocation_counts_parallel
 from repro.faults.injector import FaultInjector, InjectionPlan
 from repro.faults.models import FailStop
 from repro.gemm.blocking import BlockingConfig
-from repro.obs import Tracer, phase_totals, to_chrome_trace, validate_chrome_trace
+from repro.obs import (
+    Tracer,
+    phase_report,
+    phase_totals,
+    to_chrome_trace,
+    validate_chrome_trace,
+)
 
 
 def _operands(n, seed=0):
@@ -169,6 +175,29 @@ def test_parallel_failstop_4threads_full_story():
     assert tracer.spans("recover.thread_recovery")
     assert tracer.spans("verify_round")
     assert validate_chrome_trace(to_chrome_trace(tracer.events)) > 0
+
+
+def test_parallel_failstop_4threads_shares_add_up():
+    """The same 4-thread fail-stop story: shares are of per-thread time,
+    so the measured rows sum to 100 % even though barrier waits on one
+    lane overlap work on the others."""
+    n = 64
+    a, b = _operands(n, seed=5)
+    config = _config()
+    counts = site_invocation_counts_parallel(n, n, n, config.blocking, 4)
+    plan = plan_for_gemm(n, n, n, config.blocking, 1, sites=("checksum",),
+                         seed=2, counts=counts)
+    plan = replace(plan, fail_stops=(FailStop(thread=2, barrier=4),))
+    tracer = Tracer()
+    driver = ParallelFTGemm(config, n_threads=4, tracer=tracer)
+    assert driver.gemm(a, b, injector=FaultInjector(plan)).verified
+    totals = phase_totals(tracer.events)
+    assert totals["lanes"] == 4
+    assert totals["total"] >= 4 * totals["wall"] > 0.0
+    report = phase_report(tracer.events)
+    shares = sum(row.measured_share for row in report.rows)
+    assert shares == pytest.approx(1.0, abs=0.01)
+    assert "4 lanes" in report.to_table()
 
 
 # ------------------------------------------------------------ disabled path

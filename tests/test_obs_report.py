@@ -48,6 +48,38 @@ def test_phase_totals_takes_longest_root():
     assert phase_totals(events)["total"] == pytest.approx(100e-6)
 
 
+def test_phase_totals_four_lanes_take_per_thread_time():
+    """Four lanes under one 100 us root: lane 0 works 90 us, lanes 1-3
+    wait at barriers for most of theirs. Every lane is charged the wall
+    time, so the categories plus ``other`` make up 400 us and the shares
+    sum to one (over the root span they summed to 2.8)."""
+    events = [_span("gemm", "driver", 0.0, 100.0, tid=0),
+              _span("macro_kernel", "compute", 0.0, 90.0, tid=0)]
+    for tid in (1, 2, 3):
+        events += [_span("pack_b", "pack", 0.0, 10.0, tid=tid),
+                   _span("barrier_wait", "sync", 10.0, 50.0, tid=tid)]
+    totals = phase_totals(events)
+    assert totals["lanes"] == 4
+    assert totals["wall"] == pytest.approx(100e-6)
+    assert totals["total"] == pytest.approx(400e-6)
+    assert totals["sync"] == pytest.approx(150e-6)
+    assert totals["other"] == pytest.approx(10e-6 + 3 * 40e-6)
+    report = phase_report(events)
+    shares = {row.phase: row.measured_share for row in report.rows}
+    assert sum(shares.values()) == pytest.approx(1.0)
+    assert shares["sync"] == pytest.approx(150.0 / 400.0)
+    assert "per-thread time summed over 4 lanes" in report.to_table()
+
+
+def test_phase_totals_lane_longer_than_root_is_not_clipped():
+    events = [_span("gemm", "driver", 0.0, 50.0, tid=0),
+              _span("macro_kernel", "compute", 0.0, 40.0, tid=0),
+              _span("pack_b", "pack", 0.0, 70.0, tid=1)]
+    totals = phase_totals(events)
+    assert totals["total"] == pytest.approx(120e-6)
+    assert totals["other"] == pytest.approx(10e-6)
+
+
 def test_phase_report_shares_and_overhead():
     events = [
         _span("gemm", "driver", 0.0, 100.0),

@@ -6,7 +6,6 @@ from repro.gemm.blocking import BlockingConfig
 from repro.perfmodel.traffic import (
     TrafficReport,
     _spill_fraction,
-    ft_extra_traffic,
     gemm_dram_traffic,
 )
 from repro.simcpu.machine import MachineSpec
@@ -81,19 +80,3 @@ def test_total_is_sum(machine, blocking):
 def test_invalid_dims_rejected(machine, blocking):
     with pytest.raises(ConfigError):
         gemm_dram_traffic(0, 10, 10, blocking, machine)
-
-
-def test_ft_fused_adds_nothing(blocking):
-    assert ft_extra_traffic(4096, 4096, 4096, blocking, mode="ft") == 0.0
-
-
-def test_ft_classic_adds_encode_and_verify_sweeps(blocking):
-    extra = ft_extra_traffic(4096, 4096, 4096, blocking, mode="classic")
-    n_p = -(-4096 // 384)
-    expected = 8 * (2 * 4096**2 + 2 * 4096**2 + 4096**2 * (n_p + 1))
-    assert extra == pytest.approx(expected)
-
-
-def test_ft_mode_validated(blocking):
-    with pytest.raises(ConfigError):
-        ft_extra_traffic(10, 10, 10, blocking, mode="bogus")

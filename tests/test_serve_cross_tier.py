@@ -6,10 +6,10 @@ Both tiers run every request through one execution core
 same spec factory, so for the same requests and workload seed they must
 agree request by request: same status, same attempts, byte-identical
 result, and the same protection evidence (verified, detected, corrected,
-recovery rungs). ``max_batch=1`` keeps every request a singleton —
-coalesced batches key their fault plans on batch ids, and batch
-composition depends on timing — and the kill rate is 0, so nothing but
-the program decides the outcome. One case runs checksum-only drivers so
+recovery rungs). ``max_batch=1`` keeps every request a singleton — a
+coalesced batch runs one fault plan built for its stacked shape, and
+batch composition depends on timing — and the kill rate is 0, so
+nothing but the program decides the outcome. One case runs checksum-only drivers so
 that some first attempts fail and both tiers' retry paths are compared
 too. A second test checks that both tiers stack a coalesced batch whose
 requests carry a C0 at ``beta == 0``.

@@ -1,6 +1,7 @@
-"""Process-tier pool behavior: heartbeat machinery, deterministic worker
-seeding, death → exactly-once replay → probation re-admission, degraded
-buckets after repeated shard deaths, and bounded replays.
+"""Process-tier pool behavior: heartbeat machinery, deterministic
+results, death → exactly-once replay → probation re-admission, degraded
+buckets after repeated shard deaths, bounded replays, and a death while
+the dispatcher holds a flight.
 
 Chaos here is deterministic (a closure arming specific kills), so every
 death scenario replays bit-identically; the randomized storm lives in
@@ -19,7 +20,7 @@ from repro.gemm.blocking import BlockingConfig
 from repro.serve import GemmService, GemmRequest, ServiceConfig
 from repro.serve.proc import HeartbeatBoard, HeartbeatMonitor
 from repro.serve.proc.heartbeat import Beater
-from repro.serve.proc.spawnctx import spawn_context, worker_seed
+from repro.serve.proc.spawnctx import spawn_context
 from repro.util.errors import ConfigError
 
 
@@ -58,17 +59,6 @@ def test_spawn_context_is_pinned_to_spawn():
     )
 
 
-def test_worker_seed_distinct_per_slot_and_incarnation():
-    seeds = {
-        worker_seed(0, slot, inc)
-        for slot in range(4) for inc in range(4)
-    }
-    assert len(seeds) == 16
-    assert worker_seed(1, 0, 0) != worker_seed(0, 0, 0)
-    assert worker_seed(0, 2, 1) == worker_seed(0, 2, 1)
-
-
-# --------------------------------------------------------------- heartbeat
 def test_board_tracks_progress_not_beat_count():
     board = HeartbeatBoard()
     value = board.register("w")
@@ -280,6 +270,48 @@ def test_replays_are_bounded_and_fail_terminally(rng):
     assert counters.get("serve.proc.replays_exhausted", 0) >= 1
     assert service.duplicates == 0
     service.shutdown()
+
+
+def test_death_while_dispatcher_holds_a_flight_still_serves_it(rng):
+    """The only worker dies during a drain while the dispatcher holds the
+    next flight between routing and hand-off. The death protocol sees no
+    work and respawns nothing, so the dispatcher must bring a replacement
+    back itself; waiting for one would hang the drain forever."""
+    draining = threading.Event()
+    armed = []
+
+    def deaths():
+        counters = service.stats()["metrics"]["counters"]
+        return counters.get("serve.proc.deaths", 0)
+
+    def chaos(batch_id, deaths_so_far):
+        if armed:
+            return None
+        armed.append(batch_id)
+        draining.wait(10.0)
+        time.sleep(0.3)  # the pool marks the drain once the scheduler exits
+        for child in multiprocessing.active_children():
+            if child.name.startswith("serve-proc-"):
+                child.kill()
+        deadline = time.monotonic() + 10.0
+        while deaths() < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)  # let the death protocol finish
+        return None
+
+    service = GemmService(
+        _proc_config(processes=1, proc_probation=False), chaos=chaos
+    ).start()
+    tickets = _submit_batch(service, rng, 1)
+    draining.set()
+    drainer = threading.Thread(target=service.drain, daemon=True)
+    drainer.start()
+    drainer.join(60.0)
+    assert not drainer.is_alive(), "drain hung waiting for a replacement"
+    _audit(tickets)
+    assert deaths() >= 1
+    assert service.stats()["proc"]["respawns"] >= 1
+    assert service.duplicates == 0
 
 
 def test_repeated_shard_deaths_degrade_the_bucket(rng):

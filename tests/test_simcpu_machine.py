@@ -14,6 +14,7 @@ def test_cascade_lake_matches_paper_testbed():
     assert m.fma_ports == 2
     # 2 FMA x 8 lanes x 2 flops = 32 flops/cycle
     assert m.flops_per_cycle_per_core == 32.0
+    assert m.mem_bandwidth_gbs == pytest.approx(93.9)  # 4 x DDR4-2933
 
 
 def test_peak_gflops_relations():
