@@ -3,15 +3,12 @@
 Real-execution leg: the same protected GEMM three ways — unprotected,
 fused (FT-GEMM), classic (TraditionalABFT with its dedicated encode/verify
 passes) — so the *pass-count* difference is visible in real wall clock and
-in the counted ``ft_extra_bytes``. The ``*_by_dispatch`` variants add the
-macro-kernel dimension: the same overhead shape must hold whether the clean
-path runs per-tile or batched. The published overhead numbers are the
+in the counted ``ft_extra_bytes``. The published overhead numbers are the
 ``fused ov %`` and ``classic ov %`` series of the measured Fig. 2(a) sweep
 (``results/fig2a.txt``).
 """
 
 import numpy as np
-import pytest
 
 from repro.baselines.traditional_abft import TraditionalABFT
 from repro.core.ftgemm import FTGemm
@@ -37,25 +34,6 @@ def bench_classic_abft(benchmark, bench_config, bench_operands):
     result = benchmark(lambda: driver.gemm(a, b))
     assert result.verified
     assert result.counters.ft_extra_bytes > 0  # the passes fusion removes
-
-
-@pytest.mark.parametrize("dispatch", ["tile", "batched"])
-def bench_unprotected_by_dispatch(benchmark, bench_config, bench_operands, dispatch):
-    a, b = bench_operands
-    driver = BlockedGemm(bench_config.blocking.with_(dispatch=dispatch))
-    benchmark(lambda: driver.gemm(a, b))
-    assert driver.last_mode == dispatch
-
-
-@pytest.mark.parametrize("dispatch", ["tile", "batched"])
-def bench_fused_ft_by_dispatch(benchmark, bench_config, bench_operands, dispatch):
-    a, b = bench_operands
-    driver = FTGemm(
-        bench_config.with_(blocking=bench_config.blocking.with_(dispatch=dispatch))
-    )
-    result = benchmark(lambda: driver.gemm(a, b))
-    assert driver.last_mode == dispatch
-    assert result.counters.ft_extra_bytes == 0  # fused in either mode
 
 
 def bench_fused_checksum_encode_vs_separate_pass(benchmark, bench_operands):

@@ -10,7 +10,6 @@ pack/compute/verify spans, barrier-wait histograms, the injection event,
 and the supervisor's escalation-rung spans.
 """
 
-import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,8 +43,8 @@ def test_trace_demo_fault_run():
     blocking = BlockingConfig(mc=48, kc=48, nc=96, mr=8, nr=6)
     config = FTGemmConfig(blocking=blocking)
 
-    # one transient fault on a checksum buffer (keeps batched dispatch
-    # legal) plus one fail-stopped thread mid-run
+    # one transient fault on a checksum buffer plus one fail-stopped thread
+    # mid-run
     counts = site_invocation_counts_parallel(N, N, N, blocking, THREADS)
     plan = plan_for_gemm(
         N, N, N, blocking, 1, sites=("checksum",), seed=3, counts=counts
@@ -65,7 +64,7 @@ def test_trace_demo_fault_run():
     names = {e.name for e in events}
     for required in (
         "gemm", "prologue", "scale_c", "pack_a", "pack_b",
-        "macro_kernel_batched", "barrier_wait", "verify_round",
+        "macro_kernel", "barrier_wait", "verify_round",
         "fault.injected", "fault.failstop",
         "recover.thread_recovery", "recover.ledger_rebuild",
     ):
@@ -74,7 +73,7 @@ def test_trace_demo_fault_run():
     assert len(pack_tids) == THREADS  # cooperative B̃ packing
     macro_per_tid = {tid: 0 for tid in range(THREADS)}
     for e in events:
-        if e.name == "macro_kernel_batched":
+        if e.name == "macro_kernel":
             macro_per_tid[e.tid] += 1
     # the fail-stopped thread's span stream ends early: it records strictly
     # fewer macro-kernel spans than every survivor
@@ -131,40 +130,3 @@ def test_trace_demo_disabled_books_nothing():
     assert result.verified
     assert result.trace is None
     assert not driver.tracer.enabled
-
-
-def _load_baseline():
-    path = RESULTS / "dispatch.json"
-    return json.loads(path.read_text()) if path.exists() else None
-
-
-def test_trace_overhead_vs_dispatch_baseline():
-    """Tracing off must not tax the batched hot path.
-
-    The committed baseline (``results/dispatch.json``) was measured on other
-    hardware, so this guard compares fresh tile-vs-batched runs against each
-    other rather than absolute times: batched must keep its large dispatch
-    advantage with the observability layer linked in.
-    """
-    import time
-
-    from repro.core.ftgemm import FTGemm
-
-    rng = np.random.default_rng(0)
-    n = 256
-    a = rng.standard_normal((n, n))
-    b = rng.standard_normal((n, n))
-    timings = {}
-    for mode in ("tile", "batched"):
-        cfg = BlockingConfig(mr=8, nr=6, mc=96, kc=96, nc=96, dispatch=mode)
-        driver = FTGemm(FTGemmConfig(blocking=cfg).with_(enable_ft=False))
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            driver.gemm(a, b)
-            best = min(best, time.perf_counter() - t0)
-        timings[mode] = best
-    assert timings["tile"] / timings["batched"] > 3.0
-    baseline = _load_baseline()
-    if baseline is not None:
-        assert baseline["speedup"] > 3.0  # the committed 512^3 evidence

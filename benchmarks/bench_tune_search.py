@@ -160,7 +160,7 @@ def test_tuned_serving_beats_static(tmp_path):
         f"search funnel : {result.n_candidates} candidates -> "
         f"{result.n_scored} scored -> top-{TOP_K} measured",
         f"winner        : mc={win.mc} kc={win.kc} nc={win.nc} "
-        f"{win.mr}x{win.nr} {win.dispatch} t{win.threads} ({win.source})",
+        f"{win.mr}x{win.nr} t{win.threads} ({win.source})",
         f"static        : mc={STATIC.mc} kc={STATIC.kc} nc={STATIC.nc} "
         f"{STATIC.mr}x{STATIC.nr}",
         f"rank rho      : {result.rank_correlation:+.2f} "

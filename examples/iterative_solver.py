@@ -61,10 +61,7 @@ def main() -> None:
         injector = make_injector(step[0])
         step[0] += 1
         driver = BlockedGemm(config.blocking)
-        return driver.gemm(
-            matrix, v,
-            on_tile=lambda tile, i0, j0: injector.visit("microkernel", tile),
-        )
+        return driver.gemm(matrix, v, injector=injector)
 
     # protected FT-GEMM under the same fault schedule
     pstep = [0]

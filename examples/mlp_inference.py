@@ -72,9 +72,7 @@ def main() -> None:
         inj = injector_for(i, h.shape[0], w.shape[1], h.shape[1], calls[0])
         calls[0] += 1
         driver = BlockedGemm(config.blocking)
-        return driver.gemm(
-            h, w, on_tile=lambda tile, a, b: inj.visit("microkernel", tile)
-        )
+        return driver.gemm(h, w, injector=inj)
 
     # protected
     stats = {"injected": 0, "corrected": 0, "recomputed": 0}

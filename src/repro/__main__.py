@@ -9,7 +9,6 @@ Subcommands:
 - ``tune``     — derive blocking parameters for the (or a scaled) machine;
 - ``validate`` — diff a real run's counters against the analytic accounting;
 - ``storm``    — a quick reliability campaign at a physical error rate;
-- ``dispatch`` — time the tile vs batched macro-kernel paths on one DGEMM;
 - ``trace``    — run one (optionally parallel, optionally faulted) FT-GEMM
   with structured tracing on and write a Chrome/Perfetto trace plus a
   measured-vs-predicted phase table;
@@ -17,8 +16,8 @@ Subcommands:
   allocation discipline, barrier pairing, lock discipline, completion
   funnelling, tracer hygiene) against the source tree.
 
-``inject``, ``validate`` and ``dispatch`` additionally accept
-``--trace PATH`` to capture the run they already perform.
+``inject`` and ``validate`` additionally accept ``--trace PATH`` to
+capture the run they already perform.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ import argparse
 import sys
 
 import numpy as np
-
-from repro.gemm.blocking import DISPATCH_MODES
 
 
 def _cmd_bench(args) -> int:
@@ -179,7 +176,7 @@ def _cmd_inject(args) -> int:
         print("fail-stop faults need --threads >= 2 (a thread team to kill)")
         return 2
     config = FTGemmConfig(
-        blocking=BlockingConfig.small(mr=8, nr=6, dispatch=args.mode),
+        blocking=BlockingConfig.small(mr=8, nr=6),
         checksum_scheme=args.scheme,
         strict=args.strict,
     )
@@ -222,10 +219,8 @@ def _cmd_inject(args) -> int:
     result = driver.gemm(a, b, injector=injector)
     expected = a @ b
     err = float(np.abs(result.c - expected).max())
-    mode = getattr(driver, "last_mode", None)
     print(
-        f"matrix {n}x{n}x{n}, scheme={args.scheme}, threads={args.threads}, "
-        f"dispatch={args.mode} -> ran {mode}"
+        f"matrix {n}x{n}x{n}, scheme={args.scheme}, threads={args.threads}"
     )
     print(f"injected : {injector.n_injected} faults ({injector.summary()})")
     print(f"verified : {result.verified}")
@@ -293,7 +288,7 @@ def _cmd_validate(args) -> int:
     from repro.perfmodel.validate import validate_parallel_run, validate_run
 
     config = FTGemmConfig(
-        blocking=BlockingConfig.small(dispatch=args.mode),
+        blocking=BlockingConfig.small(),
         checksum_scheme=args.scheme,
     )
     tracer = None
@@ -315,51 +310,6 @@ def _cmd_validate(args) -> int:
     if tracer is not None:
         _write_trace(tracer, args.trace)
     return 0 if report.ok else 1
-
-
-def _cmd_dispatch(args) -> int:
-    import time
-
-    from repro.core.config import FTGemmConfig
-    from repro.core.ftgemm import FTGemm
-    from repro.gemm.blocking import BlockingConfig
-
-    rng = np.random.default_rng(args.seed)
-    n = args.size
-    a = rng.standard_normal((n, n))
-    b = rng.standard_normal((n, n))
-    timings: dict[str, float] = {}
-    outputs: dict[str, np.ndarray] = {}
-    totals: dict[str, int] = {}
-    for mode in ("tile", "batched"):
-        blocking = BlockingConfig(mr=8, nr=6, mc=96, kc=96, nc=96, dispatch=mode)
-        driver = FTGemm(FTGemmConfig(blocking=blocking).with_(enable_ft=args.ft))
-        best = float("inf")
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            result = driver.gemm(a, b)
-            best = min(best, time.perf_counter() - t0)
-        timings[mode] = best
-        outputs[mode] = result.c
-        totals[mode] = result.counters.fma_flops + result.counters.checksum_flops
-        print(f"{mode:8s} {best * 1e3:9.1f} ms  (ran {driver.last_mode})")
-    speedup = timings["tile"] / timings["batched"]
-    same = bool(np.allclose(outputs["tile"], outputs["batched"]))
-    print(f"speedup  : {speedup:.2f}x (batched over tile)")
-    print(f"results  : {'allclose' if same else 'DIVERGED'}, "
-          f"counters {'MATCH' if totals['tile'] == totals['batched'] else 'MISMATCH'}")
-    if args.trace:
-        # one extra instrumented pass of the batched path — the timed
-        # repeats above stay untraced so the speedup numbers are honest
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-        blocking = BlockingConfig(mr=8, nr=6, mc=96, kc=96, nc=96,
-                                  dispatch="batched")
-        FTGemm(FTGemmConfig(blocking=blocking).with_(enable_ft=args.ft),
-               tracer=tracer).gemm(a, b)
-        _write_trace(tracer, args.trace)
-    return 0 if same and totals["tile"] == totals["batched"] else 1
 
 
 def _trace_kernel(args) -> int:
@@ -423,7 +373,7 @@ def _cmd_trace(args) -> int:
         print("fail-stop faults need --threads >= 2 (a thread team to kill)")
         return 2
     config = FTGemmConfig(
-        blocking=BlockingConfig.small(mr=8, nr=6, dispatch=args.mode),
+        blocking=BlockingConfig.small(mr=8, nr=6),
         checksum_scheme=args.scheme,
     ).with_(enable_ft=args.ft)
     rng = np.random.default_rng(args.seed)
@@ -659,9 +609,6 @@ def main(argv: list[str] | None = None) -> int:
                    default="simulated",
                    help="team backend when --threads > 1")
     p.add_argument("--scheme", choices=("dual", "weighted"), default="dual")
-    p.add_argument("--mode", choices=DISPATCH_MODES, default="auto",
-                   help="macro-kernel dispatch (kernel-site injection falls "
-                        "back to tile; checksum/scale-only plans batch)")
     p.add_argument("--model",
                    choices=("bitflip", "additive", "stuck", "stuckbit",
                             "rowburst", "colburst"),
@@ -731,21 +678,9 @@ def main(argv: list[str] | None = None) -> int:
                    default="simulated",
                    help="team backend when --threads > 1")
     p.add_argument("--scheme", choices=("dual", "weighted"), default="dual")
-    p.add_argument("--mode", choices=DISPATCH_MODES, default="auto",
-                   help="macro-kernel dispatch mode to validate")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="write a Chrome/Perfetto trace of the run to PATH")
     p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("dispatch", help="time tile vs batched macro kernels")
-    p.add_argument("--size", type=int, default=256)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--ft", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace", default=None, metavar="PATH",
-                   help="write a trace of one extra batched run to PATH "
-                        "(the timed repeats stay untraced)")
-    p.set_defaults(fn=_cmd_dispatch)
 
     p = sub.add_parser(
         "trace",
@@ -760,8 +695,6 @@ def main(argv: list[str] | None = None) -> int:
                    default="simulated",
                    help="team backend when --threads > 1")
     p.add_argument("--scheme", choices=("dual", "weighted"), default="dual")
-    p.add_argument("--mode", choices=DISPATCH_MODES, default="auto",
-                   help="macro-kernel dispatch mode")
     p.add_argument("--ft", action=argparse.BooleanOptionalAction, default=True,
                    help="protect the run with ABFT checksums")
     p.add_argument("--errors", type=int, default=0,

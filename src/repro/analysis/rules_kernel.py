@@ -23,7 +23,6 @@ from repro.analysis.engine import Finding, SourceModule, rule
 HOT_NAMES = {
     "microkernel",
     "macro_kernel",
-    "macro_kernel_batched",
     "pack_a",
     "pack_b",
     "worker",

@@ -8,8 +8,7 @@ structure the paper's Section 2.2 criticizes:
 2. encode ``B^c = B·e`` — separate sweep of B;
 3. predicted checksums via standalone GEMVs (``A^r·B`` re-reads B,
    ``A·B^c`` re-reads A);
-4. plain blocked GEMM (batched macro kernel unless an injector needs the
-   per-tile sites);
+4. plain blocked GEMM, which visits the injector's kernel-layer sites;
 5. one verification sweep over C at the end.
 
 Counters therefore show a large ``ft_extra_bytes`` where the fused driver
@@ -98,31 +97,10 @@ class TraditionalABFT:
         else:
             c[:] = 0.0
 
-        # --- the plain blocked product; an injector needs the per-tile and
-        # packing sites, a clean call runs the batched macro kernel
+        # --- the plain blocked product
         driver = BlockedGemm(self.config.blocking, counters=counters)
-        on_tile = None
-        if injector is not None:
-            def on_tile(tile: np.ndarray, i0: int, j0: int) -> None:
-                injector.visit("microkernel", tile)
-
-            orig_pack_a = driver._pack_a_block
-            orig_pack_b = driver._pack_b_block
-
-            def pack_a(aa, i0, ilen, p0, plen, al, *, first_j):
-                packed = orig_pack_a(aa, i0, ilen, p0, plen, al, first_j=first_j)
-                injector.visit("pack_a", packed.data)
-                return packed
-
-            def pack_b(bb, p0, plen, j0, jlen):
-                packed = orig_pack_b(bb, p0, plen, j0, jlen)
-                injector.visit("pack_b", packed.data)
-                return packed
-
-            driver._pack_a_block = pack_a
-            driver._pack_b_block = pack_b
         driver.gemm(a, b, c, alpha=alpha, beta=1.0 if beta != 0.0 else 0.0,
-                    on_tile=on_tile)
+                    injector=injector)
 
         # --- final dedicated verification sweep over C
         ledger.row_ref = c.sum(axis=0)

@@ -38,22 +38,30 @@ def dmr_scale(
     if beta == 1.0:
         # nothing is computed, nothing can be corrupted
         return 0
-    if beta == 0.0:
-        scaled = np.zeros_like(c)
-    else:
-        scaled = beta * c
-    counters.loads_bytes += c.nbytes if beta != 0.0 else 0
     counters.stores_bytes += c.nbytes
-    if visit is not None:
-        visit("scale", scaled)
-    # the duplicate computation from the register-held operand
-    duplicate = np.zeros_like(c) if beta == 0.0 else beta * c
     counters.checksum_flops += c.size  # the duplicated multiplies
-    mismatch = scaled != duplicate
-    repaired = int(np.count_nonzero(mismatch))
-    if repaired:
-        scaled[mismatch] = duplicate[mismatch]
-        counters.errors_detected += repaired
-        counters.errors_corrected += repaired
-    c[:] = scaled
+    if beta == 0.0:
+        # every duplicate is zero, so the compare is a scan for nonzeros
+        # and the window can be C itself: no full-size temporaries
+        c[:] = 0.0
+        if visit is not None:
+            visit("scale", c)
+        wrong = np.flatnonzero(c)
+        repaired = int(wrong.size)
+        if repaired:
+            c.flat[wrong] = 0.0
+    else:
+        counters.loads_bytes += c.nbytes
+        scaled = beta * c
+        if visit is not None:
+            visit("scale", scaled)
+        # the duplicate computation from the register-held operand
+        duplicate = beta * c
+        mismatch = scaled != duplicate
+        repaired = int(np.count_nonzero(mismatch))
+        if repaired:
+            scaled[mismatch] = duplicate[mismatch]
+        c[:] = scaled
+    counters.errors_detected += repaired
+    counters.errors_corrected += repaired
     return repaired

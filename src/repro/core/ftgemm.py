@@ -40,30 +40,13 @@ from repro.core.dmr import dmr_scale
 from repro.core.results import FTGemmResult, VerificationReport
 from repro.core.supervisor import EscalationSupervisor
 from repro.core.verification import ChecksumLedger, Verifier
+from repro.faults.injector import NULL_INJECTOR
 from repro.gemm.driver import BlockedGemm, MemorySink
-from repro.gemm.macrokernel import TileHook, macro_kernel, macro_kernel_batched
+from repro.gemm.macrokernel import macro_kernel
 from repro.gemm.packing import PackedPanels
 from repro.obs.tracer import NULL_SPAN, Tracer
 from repro.simcpu.counters import Counters
 from repro.util.errors import ConfigError
-
-
-class _NullInjector:
-    """No-faults stand-in so the hot path has no None checks at call sites."""
-
-    def visit(self, site: str, array: np.ndarray, tid: int | None = None) -> bool:
-        return False
-
-    def mark_detected(self, n: int) -> None:
-        pass
-
-    def mark_corrected(self, n: int) -> None:
-        pass
-
-    n_injected = 0
-
-
-_NULL_INJECTOR = _NullInjector()
 
 
 class FTGemm(BlockedGemm):
@@ -87,7 +70,6 @@ class FTGemm(BlockedGemm):
         super().__init__(self.ft_config.blocking, sink=sink, tracer=tracer)
         # per-call state
         self._ledger: ChecksumLedger | None = None
-        self._injector = _NULL_INJECTOR
         self._a: np.ndarray | None = None
         self._b: np.ndarray | None = None
         self._alpha = 1.0
@@ -120,7 +102,6 @@ class FTGemm(BlockedGemm):
         trans_a: bool = False,
         trans_b: bool = False,
         injector=None,
-        on_tile: TileHook | None = None,
         request_id: str | None = None,
         packed_b=None,
     ) -> FTGemmResult:
@@ -147,8 +128,6 @@ class FTGemm(BlockedGemm):
 
         ``injector`` is consulted at every instrumented site (see
         :mod:`repro.faults.sites`); pass ``None`` for a fault-free run.
-        ``on_tile`` is an extra observer hook forwarded to the macro kernel
-        (after any injection), used by tests.
         """
         if trans_b and packed_b is not None:
             raise ConfigError(
@@ -160,16 +139,16 @@ class FTGemm(BlockedGemm):
         if trans_b:
             b = np.ascontiguousarray(np.asarray(b, dtype=np.float64).T)
         self.counters = Counters()
-        self._injector = injector if injector is not None else _NULL_INJECTOR
+        if injector is None:
+            injector = NULL_INJECTOR
         self._eager_reports = []
         tr = self._tr = self.tracer if self.tracer.enabled else None
         if tr is not None:
             try:
                 # injectors publish fault.injected events through the tracer
-                self._injector.tracer = tr
+                injector.tracer = tr
             except AttributeError:
                 pass
-        hook = self._make_tile_hook(on_tile)
         if tr is not None and not self._root_active:
             # the FT root span covers verification and recovery too, so
             # open it here rather than letting BlockedGemm.gemm own it
@@ -182,13 +161,15 @@ class FTGemm(BlockedGemm):
             try:
                 with tr.span("gemm", cat="driver", args=args):
                     result = self._protected_call(
-                        a, b, c, alpha, beta, hook, packed_b
+                        a, b, c, alpha, beta, injector, packed_b
                     )
             finally:
                 self._root_active = False
             result.trace = self.tracer
         else:
-            result = self._protected_call(a, b, c, alpha, beta, hook, packed_b)
+            result = self._protected_call(
+                a, b, c, alpha, beta, injector, packed_b
+            )
         self._release_call_state()
         if request_id is not None:
             result.request_id = request_id
@@ -203,64 +184,42 @@ class FTGemm(BlockedGemm):
         c: np.ndarray | None,
         alpha: float,
         beta: float,
-        hook: TileHook | None,
+        injector,
         packed_b=None,
     ) -> FTGemmResult:
         """The protected loop nest plus the verification epilogue."""
         out = super().gemm(
-            a, b, c, alpha=alpha, beta=beta, on_tile=hook, packed_b=packed_b
+            a, b, c, alpha=alpha, beta=beta, injector=injector,
+            packed_b=packed_b,
         )
         reports: list[VerificationReport] = list(self._eager_reports)
         verified = True
         recovery = None
         if self.ft:
-            live_injector = (
-                self._injector if self._injector is not _NULL_INJECTOR else None
+            checker_kwargs = dict(
+                alpha=self._alpha,
+                beta=self._beta,
+                c0=self._c0,
+                config=self.ft_config,
+                counters=self.counters,
+                injector=injector if injector is not NULL_INJECTOR else None,
+                tracer=self._tr,
             )
-            if self.ft_config.enable_supervisor:
-                supervisor = EscalationSupervisor(
-                    self._a,
-                    self._b,
-                    alpha=self._alpha,
-                    beta=self._beta,
-                    c0=self._c0,
-                    config=self.ft_config,
-                    counters=self.counters,
-                    injector=live_injector,
-                    tracer=self._tr,
-                )
-                try:
-                    final_reports, verified, recovery = supervisor.finalize(
-                        out, self._ledger
-                    )
-                finally:
-                    self._injector.mark_detected(self.counters.errors_detected)
-                    mark_corrected = getattr(self._injector, "mark_corrected", None)
-                    if mark_corrected is not None:
-                        mark_corrected(self.counters.errors_corrected)
-                reports.extend(final_reports)
-                if not (recovery.rounds or recovery.quarantined):
-                    recovery = None  # clean path: no recovery story to tell
-            else:
-                verifier = Verifier(
-                    self._a,
-                    self._b,
-                    alpha=self._alpha,
-                    beta=self._beta,
-                    c0=self._c0,
-                    config=self.ft_config,
-                    counters=self.counters,
-                    injector=live_injector,
-                    tracer=self._tr,
-                )
-                try:
-                    final_reports, verified = verifier.finalize(out, self._ledger)
-                finally:
-                    self._injector.mark_detected(self.counters.errors_detected)
-                    mark_corrected = getattr(self._injector, "mark_corrected", None)
-                    if mark_corrected is not None:
-                        mark_corrected(self.counters.errors_corrected)
-                reports.extend(final_reports)
+            try:
+                if self.ft_config.enable_supervisor:
+                    final_reports, verified, recovery = EscalationSupervisor(
+                        self._a, self._b, **checker_kwargs
+                    ).finalize(out, self._ledger)
+                    if not (recovery.rounds or recovery.quarantined):
+                        recovery = None  # clean path: no recovery story to tell
+                else:
+                    final_reports, verified = Verifier(
+                        self._a, self._b, **checker_kwargs
+                    ).finalize(out, self._ledger)
+            finally:
+                injector.mark_detected(self.counters.errors_detected)
+                injector.mark_corrected(self.counters.errors_corrected)
+            reports.extend(final_reports)
         return FTGemmResult(
             c=out,
             counters=self.counters,
@@ -270,56 +229,8 @@ class FTGemm(BlockedGemm):
             recovery=recovery,
         )
 
-    _KERNEL_SITES = ("microkernel", "pack_a", "pack_b")
-
-    def _make_tile_hook(self, user_hook: TileHook | None) -> TileHook | None:
-        injector = self._injector
-        if user_hook is None and (
-            injector is _NULL_INJECTOR or self._injection_allows_batched()
-        ):
-            # no per-tile consumer: leave the hook out entirely so the
-            # dispatch layer is free to take the batched fast path
-            return None
-
-        def hook(c_tile: np.ndarray, i0: int, j0: int) -> None:
-            injector.visit("microkernel", c_tile)
-            if user_hook is not None:
-                user_hook(c_tile, i0, j0)
-
-        return hook
-
-    def _injection_allows_batched(self) -> bool:
-        """A plan that strikes no kernel-layer site (micro-kernel tiles or
-        packed buffers) needs no per-tile observation — checksum/scale
-        injection touches only driver-level state, so batched dispatch stays
-        legal. Injectors without a queryable plan stay conservatively on the
-        per-tile schedule."""
-        if self._injector is _NULL_INJECTOR:
-            return False
-        targets = getattr(self._injector, "targets_site", None)
-        if targets is None:
-            return False
-        return not any(targets(site) for site in self._KERNEL_SITES)
-
-    def _resolve_mode(self, on_tile: TileHook | None) -> str:
-        if (
-            on_tile is None
-            and self.sink is None
-            and self.config.dispatch != "tile"
-            and self._injection_allows_batched()
-        ):
-            return "batched"
-        return super()._resolve_mode(on_tile)
-
-    def _fast_path(self) -> bool:
-        """Fault injection observes every pass at per-(p, j, i) granularity;
-        clean-path optimizations stay off while an injector is attached so
-        injected campaigns hit the exact schedule the planner counted."""
-        return super()._fast_path() and self._injector is _NULL_INJECTOR
-
     def _release_call_state(self) -> None:
         self._ledger = None
-        self._injector = _NULL_INJECTOR
         self._a = self._b = None
         self._a_row = self._abs_a_row = None
         self._bc_partial = self._abs_bc_partial = None
@@ -359,7 +270,7 @@ class FTGemm(BlockedGemm):
             super()._scale_c(c, beta)
             self._injector.visit("scale", c)
             return
-        if beta == 0.0 and self._c_fresh and self._injector is _NULL_INJECTOR:
+        if beta == 0.0 and self._c_fresh and self._injector is NULL_INJECTOR:
             # C was freshly allocated as zeros and there is no injector
             # needing the DMR window: no scaling arithmetic happens, so
             # there is nothing to protect, encode, count, or store
@@ -384,14 +295,6 @@ class FTGemm(BlockedGemm):
                 ledger.col_pred_w += c @ self._w_n
                 self.counters.checksum_flops += 4 * c.size
         self._injector.visit("checksum", ledger.col_pred)
-
-    def _admit_packed_b(self, packed_b, b, k, n):
-        """Injected runs decline the cached grid: fault campaigns count on
-        the exact per-pass schedule (every pack_b site visited), and a
-        cached panel must never absorb or reorder an injection."""
-        if packed_b is not None and self._injector is not _NULL_INJECTOR:
-            return None
-        return super()._admit_packed_b(packed_b, b, k, n)
 
     def _pack_b_cached(
         self, grid, p_idx, j_idx, p0, plen, j0, jlen
@@ -466,7 +369,6 @@ class FTGemm(BlockedGemm):
                 self._injector.visit(
                     "checksum", ledger.row_pred[j0 : j0 + jlen]
                 )
-        self._injector.visit("pack_b", packed.data)
         return packed
 
     def _pack_a_block(self, a, i0, ilen, p0, plen, alpha, *, first_j) -> PackedPanels:
@@ -495,7 +397,6 @@ class FTGemm(BlockedGemm):
                 self._injector.visit(
                     "checksum", ledger.col_pred[i0 : i0 + ilen]
                 )
-        self._injector.visit("pack_a", packed.data)
         return packed
 
     def _reuse_a_block(self, a, packed, i0, ilen, p0, plen, alpha) -> None:
@@ -520,7 +421,7 @@ class FTGemm(BlockedGemm):
                 ledger.col_pred_w[i0 : i0 + ilen] += rows @ self._bc_partial_w
                 self.counters.checksum_flops += 2 * ilen * plen
 
-    def _run_macro(self, packed_a, packed_b, c_block, *, i0, j0, last_p, on_tile) -> None:
+    def _run_macro(self, packed_a, packed_b, c_block, *, i0, j0, last_p) -> None:
         if self.ft and last_p:
             ledger = self._ledger
             ilen, jlen = c_block.shape
@@ -533,19 +434,19 @@ class FTGemm(BlockedGemm):
                     col_weights=self._w_n[j0 : j0 + jlen],
                 )
             tr = self._tr
-            ref_kwargs = dict(
+            macro_kernel(
+                packed_a,
+                packed_b,
+                c_block,
                 row_ref=ledger.row_ref[j0 : j0 + jlen],
                 col_ref=ledger.col_ref[i0 : i0 + ilen],
+                injector=self._injector,
                 counters=self.counters,
                 tracer=tr,
                 trace_args=({"i0": i0, "j0": j0, "refs": True}
                             if tr is not None else None),
                 **weighted_kwargs,
             )
-            if self._mode == "batched":
-                macro_kernel_batched(packed_a, packed_b, c_block, **ref_kwargs)
-            else:
-                macro_kernel(packed_a, packed_b, c_block, on_tile=on_tile, **ref_kwargs)
             self._emit_macro_traffic(packed_a, packed_b, c_block, i0, j0)
         else:
             # non-final K-blocks run the plain macro by design: their
@@ -553,7 +454,7 @@ class FTGemm(BlockedGemm):
             # already include this panel), and the fused row_ref/col_ref
             # verification fires once, on the last_p pass above
             super()._run_macro(  # analysis: ignore[ledger-coverage] -- mirrored at pack time; fused verify runs on last_p
-                packed_a, packed_b, c_block, i0=i0, j0=j0, last_p=last_p, on_tile=on_tile
+                packed_a, packed_b, c_block, i0=i0, j0=j0, last_p=last_p
             )
 
     def _after_p(self, p_idx: int, last_p: bool, c: np.ndarray) -> None:

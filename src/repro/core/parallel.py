@@ -43,9 +43,10 @@ from repro.core.supervisor import (
     _merge_counters,
 )
 from repro.core.verification import ChecksumLedger, Verifier, ledger_from_state
+from repro.faults.injector import NULL_INJECTOR
 from repro.gemm.blocking import iter_blocks
 from repro.gemm.driver import BlockedGemm
-from repro.gemm.macrokernel import TileHook, macro_kernel, macro_kernel_batched
+from repro.gemm.macrokernel import macro_kernel
 from repro.gemm.packing import PackedPanels, pack_a, pack_b
 from repro.obs.tracer import NULL_SPAN, NULL_TRACER, Tracer
 from repro.parallel.partition import partition_panels, partition_rows
@@ -53,23 +54,6 @@ from repro.parallel.team import Team, make_team
 from repro.simcpu.counters import Counters
 from repro.util.errors import UncorrectableError
 from repro.util.validation import as_2d_float64, check_gemm_operands
-
-_KERNEL_SITES = ("microkernel", "pack_a", "pack_b")
-
-
-class _NullInjector:
-    def visit(self, site: str, array: np.ndarray, tid: int | None = None) -> bool:
-        return False
-
-    def mark_detected(self, n: int) -> None:
-        pass
-
-    def mark_corrected(self, n: int) -> None:
-        pass
-
-
-_NULL_INJECTOR = _NullInjector()
-
 
 class _LockedInjector:
     """Serializes injector access from real threads; everything else (plan,
@@ -84,22 +68,18 @@ class _LockedInjector:
         with self._lock:
             return self._inner.visit(site, array, tid=tid)
 
+    def visit_tiles(
+        self, block: np.ndarray, mr: int, nr: int, tid: int | None = None
+    ) -> int:
+        with self._lock:
+            return self._inner.visit_tiles(block, mr, nr, tid=tid)
+
     def mark_detected(self, n: int) -> None:
         with self._lock:
             self._inner.mark_detected(n)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
-
-
-def _injection_allows_batched(injector) -> bool:
-    """Batched dispatch stays legal only when the plan strikes no
-    kernel-layer site (micro-kernel tiles, packed buffers); injectors
-    without a queryable plan conservatively force the per-tile schedule."""
-    targets = getattr(injector, "targets_site", None)
-    if targets is None:
-        return False
-    return not any(targets(site) for site in _KERNEL_SITES)
 
 
 class ParallelFTGemm:
@@ -110,6 +90,9 @@ class ParallelFTGemm:
     runs them on real threads (NumPy releases the GIL during packing and
     the macro kernels' ``dot`` calls).
     """
+
+    #: macro-kernel mode of every call: each block is one contraction
+    last_mode = "batched"
 
     def __init__(
         self,
@@ -134,8 +117,6 @@ class ParallelFTGemm:
         #: permute it to hunt for schedule-dependent behaviour)
         self.order = order
         self.counters = Counters()
-        #: macro-kernel mode used by the most recent call
-        self.last_mode: str | None = None
 
     @property
     def ft(self) -> bool:
@@ -151,7 +132,6 @@ class ParallelFTGemm:
         alpha: float = 1.0,
         beta: float = 0.0,
         injector=None,
-        on_tile: TileHook | None = None,
         request_id: str | None = None,
         packed_b=None,
     ) -> FTGemmResult:
@@ -171,7 +151,7 @@ class ParallelFTGemm:
         if tr is None:
             return self._stamp(
                 self._gemm_impl(a, b, c, alpha=alpha, beta=beta,
-                                injector=injector, on_tile=on_tile),
+                                injector=injector),
                 request_id,
             )
         if injector is not None:
@@ -187,7 +167,7 @@ class ParallelFTGemm:
                         n=int(bshape[1]))
         with tr.span("gemm", cat="driver", args=args):
             result = self._gemm_impl(a, b, c, alpha=alpha, beta=beta,
-                                     injector=injector, on_tile=on_tile)
+                                     injector=injector)
         result.trace = self.tracer
         return self._stamp(result, request_id)
 
@@ -208,7 +188,6 @@ class ParallelFTGemm:
         alpha: float = 1.0,
         beta: float = 0.0,
         injector=None,
-        on_tile: TileHook | None = None,
     ) -> FTGemmResult:
         tr = self._tr
         a = as_2d_float64(a, "A")
@@ -221,16 +200,6 @@ class ParallelFTGemm:
             c = as_2d_float64(c, "C")
         m, n, k = check_gemm_operands(a, b, c)
         cfg = self.config.blocking
-
-        # batched macro kernels whenever no per-tile consumer is attached —
-        # same dispatch rule as the serial driver (checksum/scale-only
-        # injection touches no kernel-layer state, so it batches too)
-        use_batched = (
-            cfg.dispatch != "tile"
-            and on_tile is None
-            and (injector is None or _injection_allows_batched(injector))
-        )
-        self.last_mode = "batched" if use_batched else "tile"
 
         # fail-stop faults are executed by the team, not by visit()
         fail_stops = tuple(
@@ -254,13 +223,12 @@ class ParallelFTGemm:
                         beta=beta,
                         ft=self.ft,
                         dmr_protect_scale=self.config.dmr_protect_scale,
-                        mode="batched" if use_batched else "tile",
                     )
                 )
 
         raw_injector = injector
         if injector is None:
-            injector = _NULL_INJECTOR
+            injector = NULL_INJECTOR
         elif self.backend == "threads":
             injector = _LockedInjector(injector)
 
@@ -514,12 +482,6 @@ class ParallelFTGemm:
                                 )
                         injector.visit("pack_a", packed_a.data, tid=tid)
                         c_block = c[i0 : i0 + ilen, j0 : j0 + jlen]
-
-                        def hook(tile: np.ndarray, ti: int, tj: int) -> None:
-                            injector.visit("microkernel", tile, tid=tid)
-                            if on_tile is not None:
-                                on_tile(tile, ti, tj)
-
                         ref_kwargs = {}
                         if ft and last_p:
                             ref_kwargs = dict(
@@ -533,32 +495,18 @@ class ParallelFTGemm:
                                     row_weights=w_m[i0 : i0 + ilen],
                                     col_weights=w_n[j0 : j0 + jlen],
                                 )
-                        trace_args = (
-                            {"tid": tid, "i0": i0, "j0": j0}
-                            if tr is not None
-                            else None
+                        macro_kernel(
+                            packed_a,
+                            packed_b_full,
+                            c_block,
+                            injector=injector,
+                            tid=tid,
+                            counters=counters,
+                            tracer=tr,
+                            trace_args=({"i0": i0, "j0": j0}
+                                        if tr is not None else None),
+                            **ref_kwargs,
                         )
-                        if use_batched:
-                            macro_kernel_batched(
-                                packed_a,
-                                packed_b_full,
-                                c_block,
-                                counters=counters,
-                                tracer=tr,
-                                trace_args=trace_args,
-                                **ref_kwargs,
-                            )
-                        else:
-                            macro_kernel(
-                                packed_a,
-                                packed_b_full,
-                                c_block,
-                                on_tile=hook,
-                                counters=counters,
-                                tracer=tr,
-                                trace_args=trace_args,
-                                **ref_kwargs,
-                            )
                         counters.loads_bytes += (
                             packed_b_full.n_panels * packed_a.nbytes
                             + packed_a.n_panels * packed_b_full.nbytes
@@ -641,50 +589,31 @@ class ParallelFTGemm:
                 ledger = ledgers[0]
                 for other in ledgers[1:]:
                     ledger.add(other)
-            if self.config.enable_supervisor:
-                supervisor = EscalationSupervisor(
-                    a,
-                    b,
-                    alpha=alpha,
-                    beta=beta,
-                    c0=c0,
-                    config=self.config,
-                    counters=total,
-                    injector=raw_injector,
-                    tracer=tr,
-                )
-                try:
-                    reports, verified, recovery = supervisor.finalize(
-                        c, ledger, report=recovery
-                    )
-                finally:
-                    injector.mark_detected(total.errors_detected)
-                    mark_corrected = getattr(injector, "mark_corrected", None)
-                    if mark_corrected is not None:
-                        mark_corrected(total.errors_corrected)
-                if not (recovery.rounds or recovery.quarantined):
-                    recovery = None
-            else:
-                verifier = Verifier(
-                    a,
-                    b,
-                    alpha=alpha,
-                    beta=beta,
-                    c0=c0,
-                    config=self.config,
-                    counters=total,
-                    injector=raw_injector,
-                    tracer=tr,
-                )
-                try:
-                    reports, verified = verifier.finalize(c, ledger)
-                finally:
-                    injector.mark_detected(total.errors_detected)
-                    mark_corrected = getattr(injector, "mark_corrected", None)
-                    if mark_corrected is not None:
-                        mark_corrected(total.errors_corrected)
-                if recovery is not None and recovery.rounds and verified:
-                    recovery.rounds[-1].succeeded = True
+            checker_kwargs = dict(
+                alpha=alpha,
+                beta=beta,
+                c0=c0,
+                config=self.config,
+                counters=total,
+                injector=raw_injector,
+                tracer=tr,
+            )
+            try:
+                if self.config.enable_supervisor:
+                    reports, verified, recovery = EscalationSupervisor(
+                        a, b, **checker_kwargs
+                    ).finalize(c, ledger, report=recovery)
+                    if not (recovery.rounds or recovery.quarantined):
+                        recovery = None
+                else:
+                    reports, verified = Verifier(
+                        a, b, **checker_kwargs
+                    ).finalize(c, ledger)
+                    if recovery is not None and recovery.rounds and verified:
+                        recovery.rounds[-1].succeeded = True
+            finally:
+                injector.mark_detected(total.errors_detected)
+                injector.mark_corrected(total.errors_corrected)
         elif recovery is not None and recovery.rounds:
             # unprotected run: no verification pass follows, the direct
             # re-execution is the whole recovery story

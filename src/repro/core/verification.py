@@ -29,6 +29,7 @@ from repro.abft.correct import correct_from_residuals
 from repro.abft.locate import COLS_ONLY, ROWS_ONLY, locate
 from repro.core.config import FTGemmConfig
 from repro.core.results import VerificationReport
+from repro.faults.sites import KERNEL_SITES
 from repro.simcpu.counters import Counters
 from repro.util.errors import UncorrectableError
 
@@ -103,11 +104,6 @@ class ChecksumLedger:
                     setattr(self, name, theirs.copy())
                 else:
                     mine += theirs
-
-
-#: kernel sites whose sticky faults re-poison recomputed C lines (the
-#: recompute flows through the same packed-buffer path the fault lives in)
-_KERNEL_STICKY_SITES = ("microkernel", "pack_a", "pack_b")
 
 
 class Verifier:
@@ -462,14 +458,16 @@ class Verifier:
             fresh = self.alpha * (self.a[idx, :] @ self.b)
             if self.beta != 0.0:
                 fresh += self.beta * self.c0[idx, :]
-            self._poison(fresh, sites=_KERNEL_STICKY_SITES)
+            # the recompute flows through the same packed-buffer path a
+            # kernel-site sticky fault lives in
+            self._poison(fresh, sites=KERNEL_SITES)
             c[idx, :] = fresh
         if cols:
             jdx = np.asarray(cols, dtype=np.intp)
             fresh = self.alpha * (self.a @ self.b[:, jdx])
             if self.beta != 0.0:
                 fresh += self.beta * self.c0[:, jdx]
-            self._poison(fresh, sites=_KERNEL_STICKY_SITES)
+            self._poison(fresh, sites=KERNEL_SITES)
             c[:, jdx] = fresh
         self.counters.blocks_recomputed += len(rows) + len(cols)
         k = self.a.shape[1]

@@ -70,7 +70,6 @@ def parallel_thread_map(
     beta: float = 0.0,
     ft: bool = True,
     dmr_protect_scale: bool = True,
-    mode: str = "tile",
 ) -> dict[str, list[list[int]]]:
     """The canonical per-thread invocation numbering of a parallel call.
 
@@ -81,9 +80,8 @@ def parallel_thread_map(
     ``site → [per-thread list of canonical indices, in that thread's visit
     order]``; binding it to a :class:`~repro.faults.injector.FaultInjector`
     makes strike placement identical across team backends and step orders.
-
-    ``mode="batched"`` drops the per-tile micro-kernel visits (the batched
-    macro kernel has no per-tile hook), matching the driver's dispatch.
+    Each lane is ascending, which the injector's block-level tile lookup
+    relies on.
     """
     from repro.parallel.partition import partition_panels, partition_rows
 
@@ -97,10 +95,8 @@ def parallel_thread_map(
     counters = {site: 0 for site in tmap}
 
     def emit(site: str, tid: int, times: int = 1) -> None:
-        lane = tmap[site][tid]
-        for _ in range(times):
-            lane.append(counters[site])
-            counters[site] += 1
+        tmap[site][tid].extend(range(counters[site], counters[site] + times))
+        counters[site] += times
 
     # prologue segment: A^r partial + (DMR-)scaling, fused C encodings
     for tid, (_ms, mlen) in enumerate(row_part):
@@ -130,12 +126,11 @@ def parallel_thread_map(
                     if ft:
                         emit("checksum", tid)
                     emit("pack_a", tid)
-                    if mode == "tile":
-                        emit(
-                            "microkernel",
-                            tid,
-                            times=config.micro_panels_m(ilen) * n_panels_j,
-                        )
+                    emit(
+                        "microkernel",
+                        tid,
+                        times=config.micro_panels_m(ilen) * n_panels_j,
+                    )
     return tmap
 
 

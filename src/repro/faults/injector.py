@@ -31,12 +31,14 @@ supervisor quarantines the fault.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from repro.faults.models import FailStop, FaultModel, default_model
-from repro.faults.sites import ALL_SITES, validate_site
+from repro.faults.sites import ALL_SITES, KERNEL_SITES, SITE_MICROKERNEL, validate_site
 from repro.util.errors import ConfigError, SimulationError
 from repro.util.rng import derive_seed
 
@@ -44,8 +46,6 @@ from repro.util.rng import derive_seed
 #: micro-panel that flows through the stuck buffer slot; this is the modeled
 #: panel width (elements per pass over the stuck slot)
 _REPLAY_PERIOD = 8
-
-_KERNEL_SITES = ("microkernel", "pack_a", "pack_b")
 
 
 @dataclass
@@ -165,24 +165,29 @@ class FaultInjector:
         self._thread_map = thread_map
         self._tid_counters = {}
 
-    def _next_invocation(self, site: str, tid: int | None) -> int:
+    def _next_invocations(
+        self, site: str, tid: int | None, count: int
+    ) -> Sequence[int]:
+        """Canonical invocation indices of the next ``count`` visits of
+        ``site`` (by thread ``tid`` when a thread map is bound), ascending."""
         if tid is None or self._thread_map is None:
-            invocation = self._counters[site]
+            start = self._counters[site]
+            invocations: Sequence[int] = range(start, start + count)
         else:
             lanes = self._thread_map.get(site, [])
             key = (site, tid)
             pos = self._tid_counters.get(key, 0)
-            self._tid_counters[key] = pos + 1
+            self._tid_counters[key] = pos + count
             lane = lanes[tid] if tid < len(lanes) else []
-            if pos >= len(lane):
+            if pos + count > len(lane):
                 raise SimulationError(
-                    f"thread {tid} visited {site!r} {pos + 1} times but the "
+                    f"thread {tid} visited {site!r} {pos + count} times but the "
                     f"bound thread map only lists {len(lane)} visits — the "
                     "map was built for a different call shape"
                 )
-            invocation = lane[pos]
-        self._counters[site] += 1
-        return invocation
+            invocations = lane[pos : pos + count]
+        self._counters[site] += count
+        return invocations
 
     # ------------------------------------------------------------------ hook
     def visit(self, site: str, array: np.ndarray, tid: int | None = None) -> bool:
@@ -193,7 +198,61 @@ class FaultInjector:
         sticky faults registered for the site. Returns True on a new strike.
         """
         validate_site(site)
-        invocation = self._next_invocation(site, tid)
+        invocation = self._next_invocations(site, tid, 1)[0]
+        return self._visit_at(site, invocation, array, tid)
+
+    def visit_tiles(
+        self, block: np.ndarray, mr: int, nr: int, tid: int | None = None
+    ) -> int:
+        """Visit the micro-kernel site once per ``mr x nr`` tile of a freshly
+        contracted C block; returns the number of new strikes.
+
+        Tiles are numbered A-panel major, B-panel minor — the register-tile
+        sweep's order — and each is the ``(tm, tn)`` view that sweep would
+        update, so a plan strikes the same tile at the same in-tile index
+        whether the block was computed tile by tile or in one contraction.
+        Only scheduled tiles are touched, O(strikes) work, until a
+        persistent micro-kernel fault is live; from then on every later tile
+        is revisited in order, so the stuck latch re-applies per tile.
+        """
+        site = SITE_MICROKERNEL
+        mlen, nlen = block.shape
+        n_cols = -(-nlen // nr)
+        count = -(-mlen // mr) * n_cols
+        if count == 0:
+            return 0
+        invocations = self._next_invocations(site, tid, count)
+        hits = iter(self._scheduled_positions(site, invocations))
+        struck = 0
+        t = 0 if self._site_is_sticky(site) else next(hits, count)
+        while t < count:
+            ia, jb = divmod(t, n_cols)
+            tile = block[ia * mr : (ia + 1) * mr, jb * nr : (jb + 1) * nr]
+            struck += self._visit_at(site, invocations[t], tile, tid)
+            t = t + 1 if self._site_is_sticky(site) else next(hits, count)
+        return struck
+
+    def _scheduled_positions(
+        self, site: str, invocations: Sequence[int]
+    ) -> list[int]:
+        """Positions in the ascending ``invocations`` that the plan
+        schedules, found by bisection over the plan's sorted schedule."""
+        schedule = self.plan.schedule.get(site, ())
+        lo = bisect_left(schedule, invocations[0])
+        hi = bisect_right(schedule, invocations[-1])
+        positions = []
+        for invocation in schedule[lo:hi]:
+            pos = bisect_left(invocations, invocation)
+            if invocations[pos] == invocation:
+                positions.append(pos)
+        return positions
+
+    def _site_is_sticky(self, site: str) -> bool:
+        return any(fault.site == site for fault in self._sticky)
+
+    def _visit_at(
+        self, site: str, invocation: int, array: np.ndarray, tid: int | None
+    ) -> bool:
         struck = False
         scheduled = self._scheduled.get(site)
         if (
@@ -290,7 +349,7 @@ class FaultInjector:
         for fault in self._sticky:
             if sites is not None and fault.site not in sites:
                 continue
-            if fault.site in _KERNEL_SITES:
+            if fault.site in KERNEL_SITES:
                 start = fault.flat_index % _REPLAY_PERIOD
                 positions = range(start, array.size, _REPLAY_PERIOD)
             else:
@@ -375,3 +434,31 @@ class FaultInjector:
             row["corrected"] += int(rec.corrected)
             row["uncorrected"] += int(not rec.corrected)
         return outcomes
+
+
+class NullInjector:
+    """The injector of a fault-free call: every hook is a no-op, so the
+    drivers' hot paths carry no ``None`` checks. Stateless (no instance
+    attributes), so the one shared :data:`NULL_INJECTOR` serves every
+    driver and thread."""
+
+    __slots__ = ()
+
+    n_injected = 0
+
+    def visit(self, site: str, array: np.ndarray, tid: int | None = None) -> bool:
+        return False
+
+    def visit_tiles(
+        self, block: np.ndarray, mr: int, nr: int, tid: int | None = None
+    ) -> int:
+        return 0
+
+    def mark_detected(self, n: int) -> None:
+        pass
+
+    def mark_corrected(self, n: int) -> None:
+        pass
+
+
+NULL_INJECTOR = NullInjector()

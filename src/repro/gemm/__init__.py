@@ -7,18 +7,18 @@ GotoBLAS structure the poster describes:
   and ``M`` (step ``M_C``) in the order of the paper's Figure 1;
 - ``A`` blocks are packed into micro-panel buffers ``Ã`` (thread-private in
   the parallel scheme), ``B`` panels into the shared buffer ``B̃``;
-- the macro kernel updates an ``M_C x N_C`` block of ``C`` by sweeping
-  ``M_R x N_R`` micro kernels over the packed panels.
+- the macro kernel updates an ``M_C x N_C`` block of ``C`` from the packed
+  panels; its ``M_R x N_R`` register tiles are the unit of fault placement
+  and of the cycle model.
 
-The compute inside a micro kernel is a NumPy ``dot`` on the packed panels —
-the algorithmic structure (what is packed when, what is resident where, how
+The macro kernel is one NumPy contraction on the packed panels — the
+algorithmic structure (what is packed when, what is resident where, how
 many times each byte moves) is identical to the paper's assembly version,
 which is what the cache simulator and performance model consume.
 """
 
 from repro.gemm.blocking import (
     BlockingConfig,
-    DISPATCH_MODES,
     iter_blocks,
     block_starts,
 )
@@ -32,15 +32,13 @@ from repro.gemm.packing import (
     PackedPanels,
 )
 from repro.gemm.panelcache import PackedB, PanelCache, encode_b
-from repro.gemm.microkernel import microkernel, microkernel_ft
-from repro.gemm.macrokernel import macro_kernel, macro_kernel_batched
+from repro.gemm.macrokernel import macro_kernel
 from repro.gemm.driver import BlockedGemm, AddressLayout
 from repro.gemm.workspace import Workspace
 from repro.gemm.tuning import tune_blocking, blocking_footprints
 
 __all__ = [
     "BlockingConfig",
-    "DISPATCH_MODES",
     "iter_blocks",
     "block_starts",
     "gemm_reference",
@@ -54,10 +52,7 @@ __all__ = [
     "PackedB",
     "PanelCache",
     "encode_b",
-    "microkernel",
-    "microkernel_ft",
     "macro_kernel",
-    "macro_kernel_batched",
     "BlockedGemm",
     "AddressLayout",
     "Workspace",

@@ -15,23 +15,13 @@ from typing import Iterator
 from repro.util.errors import ConfigError
 
 
-#: Legal macro-kernel dispatch modes: ``"auto"`` picks the fastest legal
-#: mode per call (batched on the clean path, tile whenever a per-tile
-#: consumer — an ``on_tile`` hook, a memory sink, or a fault injector — is
-#: attached); ``"tile"`` forces the per-tile sweep; ``"batched"`` requests
-#: the block-level contraction but still degrades to tile mode when
-#: per-tile granularity is required.
-DISPATCH_MODES = ("auto", "tile", "batched")
-
-
 @dataclass(frozen=True)
 class BlockingConfig:
     """Blocking parameters of the packed GEMM.
 
     ``mc``/``kc``/``nc`` are the cache-block step sizes of the three outer
     loops; ``mr``/``nr`` is the register-tile (micro kernel) shape. The
-    defaults are the paper's tuned values for Cascade Lake. ``dispatch``
-    selects the macro-kernel execution mode (see :data:`DISPATCH_MODES`).
+    defaults are the paper's tuned values for Cascade Lake.
     """
 
     mc: int = 192
@@ -39,7 +29,6 @@ class BlockingConfig:
     nc: int = 9216
     mr: int = 16
     nr: int = 14
-    dispatch: str = "auto"
 
     def __post_init__(self) -> None:
         for name in ("mc", "kc", "nc", "mr", "nr"):
@@ -60,10 +49,6 @@ class BlockingConfig:
                 object.__setattr__(self, name, value)
             if value <= 0:
                 raise ConfigError(f"{name} must be a positive int, got {value!r}")
-        if self.dispatch not in DISPATCH_MODES:
-            raise ConfigError(
-                f"dispatch must be one of {DISPATCH_MODES}, got {self.dispatch!r}"
-            )
         if self.mr > self.mc:
             raise ConfigError(f"mr ({self.mr}) cannot exceed mc ({self.mc})")
         if self.nr > self.nc:
@@ -101,10 +86,10 @@ class BlockingConfig:
         return -(-nlen // self.nr)
 
     @staticmethod
-    def small(mr: int = 4, nr: int = 4, dispatch: str = "auto") -> "BlockingConfig":
+    def small(mr: int = 4, nr: int = 4) -> "BlockingConfig":
         """A small configuration for tests: exercises every edge case
         (partial blocks, partial panels) with matrices of a few dozen rows."""
-        return BlockingConfig(mc=8, kc=8, nc=12, mr=mr, nr=nr, dispatch=dispatch)
+        return BlockingConfig(mc=8, kc=8, nc=12, mr=mr, nr=nr)
 
 
 def iter_blocks(total: int, step: int) -> Iterator[tuple[int, int]]:

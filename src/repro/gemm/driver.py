@@ -5,7 +5,9 @@
 ``M_C``) — packing ``B̃`` per ``(p, j)`` and ``Ã`` per ``(p, j, i)``, then
 sweeping the macro kernel. It is the non-fault-tolerant baseline ("FT-GEMM:
 Ori"); :class:`repro.core.ftgemm.FTGemm` extends it with the fused ABFT
-operations through the protected extension points.
+operations through the protected extension points. The driver owns the loop
+nest, so it also visits the kernel-layer fault sites (``pack_b``, ``pack_a``
+and ``microkernel``) of an attached injector.
 
 Instrumentation: when constructed with a memory ``sink`` (a
 :class:`~repro.simcpu.cache.CacheHierarchy`, :class:`~repro.simcpu.tlb.TLBSim`
@@ -21,8 +23,9 @@ from typing import Protocol
 
 import numpy as np
 
+from repro.faults.injector import NULL_INJECTOR
 from repro.gemm.blocking import BlockingConfig, iter_blocks
-from repro.gemm.macrokernel import TileHook, macro_kernel, macro_kernel_batched
+from repro.gemm.macrokernel import macro_kernel
 from repro.gemm.packing import PackedPanels, pack_a, pack_b
 from repro.gemm.workspace import Workspace
 from repro.obs.tracer import NULL_SPAN, NULL_TRACER
@@ -84,6 +87,9 @@ class AddressLayout:
 class BlockedGemm:
     """Packed, cache-blocked ``C = alpha*A@B + beta*C`` (in place on C)."""
 
+    #: macro-kernel mode of every call: each block is one contraction
+    last_mode = "batched"
+
     def __init__(
         self,
         config: BlockingConfig | None = None,
@@ -109,10 +115,8 @@ class BlockedGemm:
         self._row_bytes: dict[str, int] = {}
         #: packing arena, reused across calls with the same geometry
         self.workspace: Workspace | None = None
-        #: macro-kernel mode actually used by the most recent call
-        self.last_mode: str | None = None
-        # per-call state of the dispatch/reuse machinery
-        self._mode = "tile"
+        # per-call state of the injection/reuse machinery
+        self._injector = NULL_INJECTOR
         self._reuse_a = False
         self._c_fresh = False
         self._a_cache: dict[int, PackedPanels] = {}
@@ -128,10 +132,17 @@ class BlockedGemm:
         *,
         alpha: float = 1.0,
         beta: float = 0.0,
-        on_tile: TileHook | None = None,
+        injector=None,
         packed_b: "object | None" = None,
     ) -> np.ndarray:
         """Run the blocked GEMM; returns C (allocated when ``c is None``).
+
+        ``injector`` (a :class:`~repro.faults.injector.FaultInjector`) is
+        visited at the kernel-layer sites: once per B̃ packing
+        (``pack_b``), once per Ã packing (``pack_a``) and once per
+        ``M_R x N_R`` tile of every freshly contracted C block
+        (``microkernel``). An injected call repacks Ã for every j-block and
+        declines ``packed_b``, so every planned visit happens.
 
         ``packed_b`` optionally supplies a pre-packed-and-encoded B
         (:class:`~repro.gemm.panelcache.PackedB` for this ``b`` under this
@@ -154,9 +165,8 @@ class BlockedGemm:
         if self.sink is not None:
             self._lay_out(m, n, k)
         self.workspace = Workspace.obtain(self.workspace, cfg, m, n, k)
+        self._injector = injector if injector is not None else NULL_INJECTOR
         self._reuse_a = self._fast_path()
-        self._mode = self._resolve_mode(on_tile)
-        self.last_mode = self._mode
         self._b_grid = self._admit_packed_b(packed_b, b, k, n)
         tr = self._tr = self.tracer if self.tracer.enabled else None
 
@@ -166,16 +176,16 @@ class BlockedGemm:
                 try:
                     with tr.span("gemm", cat="driver",
                                  args={"m": m, "n": n, "k": k,
-                                       "mode": self._mode,
                                        "reuse_a": self._reuse_a,
                                        "cached_b": self._b_grid is not None}):
-                        self._run_loops(a, b, c, alpha, beta, m, n, k, on_tile)
+                        self._run_loops(a, b, c, alpha, beta, m, n, k)
                 finally:
                     self._root_active = False
             else:
-                self._run_loops(a, b, c, alpha, beta, m, n, k, on_tile)
+                self._run_loops(a, b, c, alpha, beta, m, n, k)
         finally:
             self._b_grid = None
+            self._injector = NULL_INJECTOR
         return c
 
     def _run_loops(
@@ -188,7 +198,6 @@ class BlockedGemm:
         m: int,
         n: int,
         k: int,
-        on_tile: TileHook | None,
     ) -> None:
         """The Figure-1 loop nest (factored out so the root span wraps it)."""
         cfg = self.config
@@ -222,50 +231,33 @@ class BlockedGemm:
                         i0=i0,
                         j0=j0,
                         last_p=last_p,
-                        on_tile=on_tile,
                     )
             self._after_p(p_idx, last_p, c)
         self._a_cache.clear()
         self._finish(c)
 
-    # -------------------------------------------------------- dispatch layer
+    # ------------------------------------------------------ clean-path layer
     def _fast_path(self) -> bool:
         """Whether the clean-path optimizations (packed-Ã reuse across
         j-blocks, skipping the redundant zeroing of a fresh C) are legal.
 
         A memory ``sink`` replays the exact per-pass address stream of the
-        paper's Figure-1 loop order, so instrumented runs keep the original
-        schedule. Subclasses with additional per-pass observers (e.g. a
-        fault injector) restrict this further.
+        paper's Figure-1 loop order, and an injector must see every pass at
+        per-(p, j, i) granularity so campaigns hit the exact schedule the
+        planner counted; both keep the original schedule.
         """
-        return self.sink is None
-
-    def _resolve_mode(self, on_tile: TileHook | None) -> str:
-        """Pick the macro-kernel mode for this call.
-
-        ``tile`` whenever per-tile granularity is required — a ``dispatch=
-        "tile"`` config, an ``on_tile`` hook, or an instrumented/injected
-        run — otherwise ``batched``. An explicit ``dispatch="batched"``
-        request degrades to tile mode under the same conditions (the fast
-        path must never change observable per-tile behaviour).
-        """
-        if self.config.dispatch == "tile":
-            return "tile"
-        if on_tile is not None or not self._fast_path():
-            return "tile"
-        return "batched"
+        return self.sink is None and self._injector is NULL_INJECTOR
 
     def _admit_packed_b(self, packed_b, b: np.ndarray, k: int, n: int):
         """Validate and admit a pre-packed B for this call, or None.
 
         A geometry mismatch is a caller error (the cache keys on blocking
-        parameters, so a mismatched entry should never reach a driver);
-        instrumented runs decline the grid to keep their address stream
-        faithful. Subclasses restrict admission further (FTGemm declines
-        it on injected runs so fault campaigns keep their exact
-        schedules).
+        parameters, so a mismatched entry should never reach a driver).
+        Instrumented and injected runs decline the grid: the first keep
+        their address stream faithful, the second visit every ``pack_b``
+        site — a cached panel must never absorb or reorder an injection.
         """
-        if packed_b is None or self.sink is not None:
+        if packed_b is None or not self._fast_path():
             return None
         if not packed_b.matches(self.config, k, n):
             raise ShapeError(
@@ -361,6 +353,7 @@ class BlockedGemm:
             self.counters.stores_bytes += packed.nbytes
             self._emit("B", p0, j0, plen, jlen, write=False)
             self._emit_packed("Btilde", packed, write=True)
+            self._injector.visit("pack_b", packed.data)
         return packed
 
     def _pack_a_block(
@@ -404,6 +397,7 @@ class BlockedGemm:
             self.counters.stores_bytes += packed.nbytes
             self._emit("A", i0, p0, ilen, plen, write=False)
             self._emit_packed("Atilde", packed, write=True)
+            self._injector.visit("pack_a", packed.data)
         return packed
 
     def _reuse_a_block(
@@ -430,30 +424,18 @@ class BlockedGemm:
         i0: int,
         j0: int,
         last_p: bool,
-        on_tile: TileHook | None,
     ) -> None:
         """One macro-kernel invocation; FTGemm adds checksum-ref collection."""
         tr = self._tr
-        targs = {"i0": i0, "j0": j0} if tr is not None else None
-        if self._mode == "batched":
-            macro_kernel_batched(
-                packed_a,
-                packed_b,
-                c_block,
-                counters=self.counters,
-                tracer=tr,
-                trace_args=targs,
-            )
-        else:
-            macro_kernel(
-                packed_a,
-                packed_b,
-                c_block,
-                on_tile=on_tile,
-                counters=self.counters,
-                tracer=tr,
-                trace_args=targs,
-            )
+        macro_kernel(
+            packed_a,
+            packed_b,
+            c_block,
+            injector=self._injector,
+            counters=self.counters,
+            tracer=tr,
+            trace_args={"i0": i0, "j0": j0} if tr is not None else None,
+        )
         self._emit_macro_traffic(packed_a, packed_b, c_block, i0, j0)
 
     def _after_p(self, p_idx: int, last_p: bool, c: np.ndarray) -> None:

@@ -69,7 +69,7 @@ class PackedPanels:
         return self.data.nbytes
 
     # ------------------------------------------------- flat 2-D projections
-    # The batched macro kernel contracts whole blocks with one BLAS call and
+    # The macro kernel contracts whole blocks with one BLAS call and
     # needs the panels laid out as an ordinary matrix. Both projections are
     # cached on the instance: a PackedPanels is created per packing pass, so
     # the cache lives exactly as long as the packed values do (reusing a
@@ -166,8 +166,8 @@ def panels_from_cols(cols: np.ndarray, nr: int, valid: int) -> PackedPanels:
     of the same bytes — panel ``j`` is columns ``j*nr : j*nr+nr`` — so an
     ``as_strided`` reinterpretation recovers the panel axes for free. The
     flat matrix is additionally pre-seeded as the ``cols()`` projection, so
-    the batched macro kernel's one-BLAS-call path also skips its
-    materialisation copy.
+    the macro kernel's one-BLAS-call path also skips its materialisation
+    copy.
     """
     if cols.ndim != 2:
         raise ShapeError(f"cols must be 2-D, got shape {cols.shape}")

@@ -75,10 +75,8 @@ class Workspace:
         ``i0`` (``i0`` is a multiple of ``M_C``, hence of ``M_R``)."""
         if i0 % self.config.mr:
             # a misaligned block start would silently land on the panels
-            # of the *previous* block: the batched kernel masks the
-            # aliasing (its flat projections are memoized copies) while
-            # tile mode consumes the live, overlapping views — fail loud
-            # here instead of computing garbage three layers down
+            # of the *previous* block — fail loud here instead of
+            # computing garbage three layers down
             raise ShapeError(
                 f"A block start {i0} is not aligned to the {self.config.mr}-row "
                 f"panel grid (mc must be a multiple of mr)"

@@ -1,6 +1,6 @@
 """Structured tracing: nested spans and instant events on a monotonic clock.
 
-Design constraints (mirrors the ``_NullInjector`` pattern used by the
+Design constraints (mirrors the ``NULL_INJECTOR`` pattern used by the
 drivers): the *disabled* path must cost essentially nothing. Call sites in
 hot loops therefore hold ``tracer = self.tracer if self.tracer.enabled else
 None`` and only build span names/argument dicts when that local is not

@@ -36,8 +36,7 @@ def expected_counters(
     Mirrors every accounting site of :class:`~repro.gemm.driver.BlockedGemm`
     and :class:`~repro.core.ftgemm.FTGemm` on the clean fast path (no sink,
     no injector; envelope tolerance mode, ``final`` verification) — which is
-    the path a real benchmark run takes, in either dispatch mode (tile and
-    batched book identical totals):
+    the path a real benchmark run takes:
 
     - ``fresh_c`` models ``gemm(c=None)``: the driver skips the redundant
       zeroing of the just-allocated C entirely (no store, no DMR duplicate).

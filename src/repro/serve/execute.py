@@ -64,7 +64,6 @@ def tuned_parts(tuned) -> tuple[BlockingConfig, int]:
         nc=int(tuned["nc"]),
         mr=int(tuned.get("mr", 16)),
         nr=int(tuned.get("nr", 14)),
-        dispatch=str(tuned.get("dispatch", "auto")),
     )
     return blocking, max(1, int(tuned.get("threads", 1) or 1))
 

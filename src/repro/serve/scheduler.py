@@ -23,10 +23,9 @@ worker pool. Its job is to turn a stream of individual requests into
   an unbounded ready lane would quietly bypass the queue's capacity.
 
 A coalesced batch is executed by the pool as **one stacked product**
-(the A operands concatenated along M) through a single driver call on the
-batched dispatch engine — per-call fixed costs (prologue, packing ramp,
-verification, supervision) amortize across the batch, which is where the
-serving throughput multiple comes from.
+(the A operands concatenated along M) through a single driver call — per-call
+fixed costs (prologue, packing ramp, verification, supervision) amortize
+across the batch, which is where the serving throughput multiple comes from.
 """
 
 from __future__ import annotations

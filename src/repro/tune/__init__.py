@@ -4,8 +4,7 @@ The paper tunes one machine by hand; this package turns the repro's
 analytic machinery (:mod:`repro.perfmodel`, :mod:`repro.simcpu`) into an
 automated search whose winners the service consults at admission time:
 
-- :mod:`repro.tune.space` — the candidate grid (blocking, tile, dispatch,
-  threads);
+- :mod:`repro.tune.space` — the candidate grid (blocking, tile, threads);
 - :mod:`repro.tune.prune` — analytic feasibility cuts with a reason ledger;
 - :mod:`repro.tune.score` — perf-model + interpreter-overhead pricing;
 - :mod:`repro.tune.measure` — top-K wall-clock confirmation;

@@ -57,7 +57,7 @@ def _print_result(result) -> None:
         cfg = scored.config
         line = (
             f"  top{i}     : mc={cfg.mc} kc={cfg.kc} nc={cfg.nc} "
-            f"{cfg.mr}x{cfg.nr} {cfg.dispatch} t{cfg.threads} "
+            f"{cfg.mr}x{cfg.nr} t{cfg.threads} "
             f"pred={scored.predicted_seconds * 1e3:.2f}ms"
         )
         if result.measured:
@@ -75,7 +75,7 @@ def _print_result(result) -> None:
     win = result.winner
     print(
         f"  winner   : mc={win.mc} kc={win.kc} nc={win.nc} "
-        f"{win.mr}x{win.nr} {win.dispatch} t{win.threads} "
+        f"{win.mr}x{win.nr} t{win.threads} "
         f"coalesce={win.coalesce_limit or 'uncapped'} ({win.source})"
     )
     if result.speedup_vs_static is not None:
@@ -176,7 +176,7 @@ def cmd_show(args) -> int:
             perf = f"  {tuned.measured_gflops:.3f} gflops measured"
         print(
             f"  {bucket}/{dtype}: mc={tuned.mc} kc={tuned.kc} nc={tuned.nc} "
-            f"{tuned.mr}x{tuned.nr} {tuned.dispatch} t{tuned.threads} "
+            f"{tuned.mr}x{tuned.nr} t{tuned.threads} "
             f"coalesce={tuned.coalesce_limit or 'uncapped'} "
             f"({tuned.source}){perf}"
         )
@@ -216,7 +216,7 @@ def cmd_apply(args) -> int:
     )
     print(f"shape  : {shape.label}")
     print(f"tuned  : mc={tuned.mc} kc={tuned.kc} nc={tuned.nc} "
-          f"{tuned.mr}x{tuned.nr} {tuned.dispatch} t{tuned.threads} "
+          f"{tuned.mr}x{tuned.nr} t{tuned.threads} "
           f"-> {t_tuned.seconds * 1e3:.2f}ms "
           f"(verified={t_tuned.verified})")
     print(f"static : mc={static.mc} kc={static.kc} nc={static.nc} "

@@ -91,7 +91,6 @@ class TunedConfig:
     nc: int
     mr: int = 16
     nr: int = 14
-    dispatch: str = "auto"
     threads: int = 1
     coalesce_limit: int = 0
     predicted_gflops: float = 0.0
@@ -114,7 +113,7 @@ class TunedConfig:
         """The blocking parameters as the GEMM layer's config object."""
         return BlockingConfig(
             mc=self.mc, kc=self.kc, nc=self.nc,
-            mr=self.mr, nr=self.nr, dispatch=self.dispatch,
+            mr=self.mr, nr=self.nr,
         )
 
     @classmethod
@@ -128,15 +127,14 @@ class TunedConfig:
     ) -> "TunedConfig":
         return cls(
             mc=blocking.mc, kc=blocking.kc, nc=blocking.nc,
-            mr=blocking.mr, nr=blocking.nr, dispatch=blocking.dispatch,
+            mr=blocking.mr, nr=blocking.nr,
             threads=threads, coalesce_limit=coalesce_limit, source=source,
         )
 
     def key(self) -> tuple:
         """The execution-relevant identity (metadata excluded) — what the
         worker pools key their driver caches on."""
-        return (self.mc, self.kc, self.nc, self.mr, self.nr,
-                self.dispatch, self.threads)
+        return (self.mc, self.kc, self.nc, self.mr, self.nr, self.threads)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

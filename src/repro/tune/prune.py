@@ -73,7 +73,7 @@ def _clamp_to_shape(cand: TunedConfig, m: int, n: int, k: int) -> TunedConfig:
         return cand
     return TunedConfig(
         mc=mc, kc=kc, nc=nc, mr=cand.mr, nr=cand.nr,
-        dispatch=cand.dispatch, threads=cand.threads, source=cand.source,
+        threads=cand.threads, source=cand.source,
     )
 
 

@@ -4,11 +4,10 @@
 cost of a candidate (simcpu FMA cycles, packing passes, DRAM legs, barrier
 sync), but it is deliberately blind to what dominates a pure-Python
 implementation: the fixed interpreter cost of every pack/macro-kernel
-*invocation* and — in tile dispatch — every micro-tile dispatch. Without
-that term every ``mc`` is equally good on an L2-resident shape and the
-ranking is noise; with it, the model correctly predicts that a tall-skinny
-problem wants the largest legal ``mc`` (fewest block invocations) and that
-tile dispatch is only competitive when the tile count is trivial.
+*invocation*. Without that term every ``mc`` is equally good on an
+L2-resident shape and the ranking is noise; with it, the model correctly
+predicts that a tall-skinny problem wants the largest legal ``mc`` (fewest
+block invocations).
 
 The host constants are calibrated once against measurement on this
 interpreter (see ``benchmarks/bench_tune_search.py``, which reports the
@@ -32,7 +31,6 @@ from repro.util.errors import ConfigError
 __all__ = [
     "HOST_BARRIER_SECONDS",
     "HOST_CALL_SECONDS",
-    "HOST_TILE_SECONDS",
     "ScoredCandidate",
     "score",
     "score_all",
@@ -40,8 +38,6 @@ __all__ = [
 
 #: Interpreter cost of one pack_a / pack_b / macro-kernel invocation.
 HOST_CALL_SECONDS = 40e-6
-#: Interpreter cost of one micro-tile dispatch under ``dispatch="tile"``.
-HOST_TILE_SECONDS = 30e-6
 #: Interpreter cost of one team barrier crossing when ``threads > 1``.
 HOST_BARRIER_SECONDS = 150e-6
 
@@ -73,9 +69,6 @@ def _host_seconds(cand: TunedConfig, m: int, n: int, k: int) -> float:
     calls += n_p * n_i         # pack_a, one per (p, i) — reused across j
     calls += n_p * n_j * n_i   # macro kernel
     seconds = calls * HOST_CALL_SECONDS
-    if cand.dispatch == "tile":
-        tiles = n_p * n_blocks(m, cand.mr) * n_blocks(n, cand.nr)
-        seconds += tiles * HOST_TILE_SECONDS
     if cand.threads > 1:
         barriers = 1 + 2 * n_p * n_j
         seconds += barriers * HOST_BARRIER_SECONDS

@@ -2,8 +2,7 @@
 
 A :class:`SearchSpace` is a named cross-product of candidate values for
 every knob the serving path can act on: the three cache-block sizes, the
-register-tile shape, the macro-kernel dispatch mode, and the worker thread
-count. ``coalesce_limits`` is carried alongside but *not* enumerated — the
+register-tile shape, and the worker thread count. ``coalesce_limits`` is carried alongside but *not* enumerated — the
 scheduler cap is picked analytically from the winning config's footprint
 (see :func:`repro.tune.search.choose_coalesce_limit`) because a single-call
 measurement cannot rank it.
@@ -34,12 +33,11 @@ class SearchSpace:
     kc: tuple[int, ...]
     nc: tuple[int, ...]
     tiles: tuple[tuple[int, int], ...]
-    dispatch: tuple[str, ...] = ("auto",)
     threads: tuple[int, ...] = (1,)
     coalesce_limits: tuple[int, ...] = (0,)
 
     def __post_init__(self) -> None:
-        for field_name in ("mc", "kc", "nc", "tiles", "dispatch", "threads"):
+        for field_name in ("mc", "kc", "nc", "tiles", "threads"):
             if not getattr(self, field_name):
                 raise ConfigError(f"search space {self.name!r}: {field_name} is empty")
 
@@ -52,15 +50,15 @@ class SearchSpace:
         interesting rejections.
         """
         out: list[TunedConfig] = []
-        for (mr, nr), mc, kc, nc, dispatch, threads in product(
-            self.tiles, self.mc, self.kc, self.nc, self.dispatch, self.threads
+        for (mr, nr), mc, kc, nc, threads in product(
+            self.tiles, self.mc, self.kc, self.nc, self.threads
         ):
             if mc % mr != 0 or mr > mc or nr > nc:
                 continue
             out.append(
                 TunedConfig(
                     mc=mc, kc=kc, nc=nc, mr=mr, nr=nr,
-                    dispatch=dispatch, threads=threads, source="search",
+                    threads=threads, source="search",
                 )
             )
         return out
@@ -79,7 +77,6 @@ class SearchSpace:
             kc=(4, 8, 16),
             nc=(12, 16, 32),
             tiles=((4, 4),),
-            dispatch=("auto", "tile"),
             threads=(1,),
             coalesce_limits=(0, 4),
         )
@@ -95,7 +92,6 @@ class SearchSpace:
             kc=(32, 64, 128, 256, 384),
             nc=(64, 256, 1024, 4096, 9216),
             tiles=((16, 14), (8, 8), (8, 6)),
-            dispatch=("auto",),
             threads=(1, 2),
             coalesce_limits=(0, 4, 16),
         )

@@ -46,28 +46,6 @@ def test_validate_weighted_beta(capsys):
     assert code == 0
 
 
-def test_validate_explicit_modes(capsys):
-    for mode in ("tile", "batched"):
-        assert repro_main(["validate", "--size", "20", "--mode", mode]) == 0
-        assert "MATCH" in capsys.readouterr().out
-
-
-def test_inject_batched_mode_falls_back_to_tile(capsys):
-    code = repro_main(
-        ["inject", "--size", "48", "--errors", "2", "--mode", "batched"]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "dispatch=batched -> ran tile" in out
-
-
-def test_dispatch_subcommand(capsys):
-    assert repro_main(["dispatch", "--size", "96", "--repeats", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "speedup" in out
-    assert "allclose" in out and "MATCH" in out
-
-
 def test_storm_subcommand(capsys):
     assert repro_main(["storm", "--rate", "120", "--size", "64", "--runs", "1"]) == 0
     out = capsys.readouterr().out

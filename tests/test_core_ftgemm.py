@@ -152,13 +152,6 @@ def test_default_blocking_large_call(rng):
     np.testing.assert_allclose(result.c, a @ b, rtol=1e-11)
 
 
-def test_on_tile_observer_still_called(ft, rng):
-    calls = []
-    a = rng.standard_normal((8, 8))
-    ft.gemm(a, a, on_tile=lambda tile, i0, j0: calls.append((i0, j0)))
-    assert calls
-
-
 def test_transpose_flags(small_config, rng):
     """The BLAS op() interface on the serial driver."""
     a = rng.standard_normal((11, 19))

@@ -1,10 +1,12 @@
-"""Dispatch modes, the batched macro kernel, and the workspace arena.
+"""The block macro kernel against the per-tile reference, the injected
+schedule, and the workspace arena.
 
-The contract under test: tile and batched modes are observationally
-identical — same C (allclose), same checksum references, same counter
-totals — and the dispatch layer silently degrades to tile mode whenever
-per-tile granularity is needed (an ``on_tile`` hook, a memory sink, a fault
-injector). The arena tests pin the zero-allocation property: once the
+The contract under test: the one-contraction macro kernel is
+observationally identical to the per-tile loop it replaced — same C
+(allclose), same checksum references, same counter totals, and the same
+strikes for the same plan. The per-tile loop lives on here as the
+reference (``tile_macro_kernel``); ``mode="tile"`` patches it into every
+driver. The arena tests pin the zero-allocation property: once the
 workspace exists, the loop nest packs into it without a single fresh
 ``np.zeros``.
 """
@@ -12,19 +14,23 @@ workspace exists, the loop nest packs into it without a single fresh
 import numpy as np
 import pytest
 
+import repro.core.ftgemm as ftgemm_mod
+import repro.core.parallel as parallel_mod
+import repro.gemm.driver as driver_mod
 import repro.gemm.packing as packing
 from repro.core.config import FTGemmConfig
 from repro.core.ftgemm import FTGemm
 from repro.core.parallel import ParallelFTGemm
-from repro.faults.campaign import plan_for_gemm
-from repro.faults.injector import FaultInjector
-from repro.gemm.blocking import DISPATCH_MODES, BlockingConfig
+from repro.faults.campaign import plan_for_gemm, site_invocation_counts_parallel
+from repro.faults.injector import NULL_INJECTOR, FaultInjector
+from repro.faults.models import BitFlip, StuckBit
+from repro.gemm.blocking import BlockingConfig
 from repro.gemm.driver import BlockedGemm
-from repro.gemm.macrokernel import macro_kernel, macro_kernel_batched
+from repro.gemm.macrokernel import macro_kernel, tile_flops
 from repro.gemm.packing import pack_a, pack_b
 from repro.gemm.reference import gemm_reference
 from repro.simcpu.counters import Counters
-from repro.util.errors import ConfigError
+from repro.tune.db import TunedConfig
 
 COUNTER_FIELDS = (
     "fma_flops",
@@ -49,16 +55,46 @@ def _counters_dict(counters: Counters) -> dict[str, int]:
     return {name: getattr(counters, name) for name in COUNTER_FIELDS}
 
 
-# ------------------------------------------------------------- config layer
+def tile_macro_kernel(
+    packed_a, packed_b, c_block, *,
+    row_ref=None, col_ref=None, row_ref_w=None, col_ref_w=None,
+    row_weights=None, col_weights=None,
+    injector=NULL_INJECTOR, tid=None, counters=None, tracer=None,
+    trace_args=None,
+):
+    """The per-tile macro kernel, kept as the reference: one micro-kernel
+    update, injector visit and checksum accumulation per M_R x N_R tile, in
+    (A-panel, B-panel) order."""
+    mr, nr, depth = packed_a.r, packed_b.r, packed_a.depth
+    with np.errstate(invalid="ignore", over="ignore"):
+        for ia in range(packed_a.n_panels):
+            i0, tm = ia * mr, packed_a.panel_extent(ia)
+            for jb in range(packed_b.n_panels):
+                j0, tn = jb * nr, packed_b.panel_extent(jb)
+                tile = c_block[i0 : i0 + tm, j0 : j0 + tn]
+                tile += (packed_a.panel(ia).T @ packed_b.panel(jb))[:tm, :tn]
+                injector.visit("microkernel", tile, tid=tid)
+                if row_ref is not None:
+                    row_ref[j0 : j0 + tn] += tile.sum(axis=0)
+                    col_ref[i0 : i0 + tm] += tile.sum(axis=1)
+                if row_ref_w is not None:
+                    row_ref_w[j0 : j0 + tn] += row_weights[i0 : i0 + tm] @ tile
+                    col_ref_w[i0 : i0 + tm] += tile @ col_weights[j0 : j0 + tn]
+                if counters is not None:
+                    counters.microkernel_calls += 1
+                    counters.fma_flops += tile_flops(mr, nr, depth)
+                    if row_ref is not None:
+                        counters.checksum_flops += 2 * tm * tn
+                    if row_ref_w is not None:
+                        counters.checksum_flops += 4 * tm * tn
 
 
-def test_dispatch_modes_constant():
-    assert DISPATCH_MODES == ("auto", "tile", "batched")
-
-
-def test_invalid_dispatch_rejected():
-    with pytest.raises(ConfigError):
-        BlockingConfig(dispatch="vectorized")
+def use_mode(monkeypatch, mode):
+    """``"tile"`` runs every driver through the per-tile reference;
+    ``"batched"`` leaves the program's block kernel in place."""
+    if mode == "tile":
+        for mod in (driver_mod, ftgemm_mod, parallel_mod):
+            monkeypatch.setattr(mod, "macro_kernel", tile_macro_kernel)
 
 
 # --------------------------------------------------- kernel-level equivalence
@@ -70,7 +106,7 @@ def test_macro_kernels_agree_on_one_block(rng):
     weights_m = np.arange(1.0, 14.0)
     weights_n = np.arange(1.0, 12.0)
     refs = {}
-    for kernel in (macro_kernel, macro_kernel_batched):
+    for kernel in (tile_macro_kernel, macro_kernel):
         c = np.zeros((13, 11))
         row = np.zeros(11)
         col = np.zeros(13)
@@ -85,33 +121,45 @@ def test_macro_kernels_agree_on_one_block(rng):
             counters=counters,
         )
         refs[kernel.__name__] = (c, row, col, row_w, col_w, counters)
-    tile, batched = refs["macro_kernel"], refs["macro_kernel_batched"]
+    tile, batched = refs["tile_macro_kernel"], refs["macro_kernel"]
     for got, want in zip(batched[:5], tile[:5]):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     assert _counters_dict(batched[5]) == _counters_dict(tile[5])
 
 
 def test_batched_macro_kernel_has_no_tile_hook():
-    # per-tile hooks force tile mode; the batched kernel must not accept one
+    # tile faults arrive through the injector, not through a per-tile hook
     import inspect
 
-    assert "on_tile" not in inspect.signature(macro_kernel_batched).parameters
+    assert "on_tile" not in inspect.signature(macro_kernel).parameters
 
 
 # --------------------------------------------------- driver-level equivalence
 
 
+def _run_modes(monkeypatch, run):
+    """``run()`` once per mode (tile reference first), results by mode."""
+    runs = {}
+    for mode in ("tile", "batched"):
+        with monkeypatch.context() as patch:
+            use_mode(patch, mode)
+            runs[mode] = run()
+    return runs
+
+
 @pytest.mark.parametrize("m,n,k", SHAPES)
-def test_blocked_gemm_modes_equivalent(rng, m, n, k):
+def test_blocked_gemm_modes_equivalent(rng, monkeypatch, m, n, k):
     a = rng.standard_normal((m, k))
     b = rng.standard_normal((k, n))
     c0 = rng.standard_normal((m, n))
-    runs = {}
-    for mode in ("tile", "batched"):
-        driver = BlockedGemm(BlockingConfig.small(dispatch=mode))
+
+    def run():
+        driver = BlockedGemm(BlockingConfig.small())
         out = driver.gemm(a, b, c0.copy(), alpha=1.25, beta=0.5)
-        assert driver.last_mode == mode
-        runs[mode] = (out, _counters_dict(driver.counters))
+        assert driver.last_mode == "batched"
+        return out, _counters_dict(driver.counters)
+
+    runs = _run_modes(monkeypatch, run)
     np.testing.assert_allclose(
         runs["batched"][0], runs["tile"][0], rtol=1e-11, atol=1e-11
     )
@@ -124,22 +172,21 @@ def test_blocked_gemm_modes_equivalent(rng, m, n, k):
 
 @pytest.mark.parametrize("m,n,k", SHAPES)
 @pytest.mark.parametrize("scheme", ["dual", "weighted"])
-def test_ftgemm_modes_equivalent(rng, m, n, k, scheme):
+def test_ftgemm_modes_equivalent(rng, monkeypatch, m, n, k, scheme):
     a = rng.standard_normal((m, k))
     b = rng.standard_normal((k, n))
     c0 = rng.standard_normal((m, n))
-    runs = {}
-    for mode in ("tile", "batched"):
-        config = FTGemmConfig(
-            blocking=BlockingConfig.small(dispatch=mode),
-            checksum_scheme=scheme,
-        )
-        driver = FTGemm(config)
-        result = driver.gemm(a, b, c0.copy(), alpha=2.0, beta=0.25)
-        assert driver.last_mode == mode
+    config = FTGemmConfig(
+        blocking=BlockingConfig.small(), checksum_scheme=scheme
+    )
+
+    def run():
+        result = FTGemm(config).gemm(a, b, c0.copy(), alpha=2.0, beta=0.25)
         assert result.verified
         assert result.detected == 0
-        runs[mode] = (result.c, _counters_dict(result.counters))
+        return result.c, _counters_dict(result.counters)
+
+    runs = _run_modes(monkeypatch, run)
     np.testing.assert_allclose(
         runs["batched"][0], runs["tile"][0], rtol=1e-11, atol=1e-11
     )
@@ -147,21 +194,20 @@ def test_ftgemm_modes_equivalent(rng, m, n, k, scheme):
 
 
 @pytest.mark.parametrize("scheme", ["dual", "weighted"])
-def test_parallel_modes_equivalent(rng, scheme):
+def test_parallel_modes_equivalent(rng, monkeypatch, scheme):
     m, n, k = 50, 41, 37
     a = rng.standard_normal((m, k))
     b = rng.standard_normal((k, n))
-    runs = {}
-    for mode in ("tile", "batched"):
-        config = FTGemmConfig(
-            blocking=BlockingConfig.small(dispatch=mode),
-            checksum_scheme=scheme,
-        )
-        driver = ParallelFTGemm(config, n_threads=3)
-        result = driver.gemm(a, b)
-        assert driver.last_mode == mode
+    config = FTGemmConfig(
+        blocking=BlockingConfig.small(), checksum_scheme=scheme
+    )
+
+    def run():
+        result = ParallelFTGemm(config, n_threads=3).gemm(a, b)
         assert result.verified
-        runs[mode] = (result.c, result.counters)
+        return result.c, result.counters
+
+    runs = _run_modes(monkeypatch, run)
     np.testing.assert_allclose(
         runs["batched"][0], runs["tile"][0], rtol=1e-11, atol=1e-11
     )
@@ -170,78 +216,95 @@ def test_parallel_modes_equivalent(rng, scheme):
         assert getattr(runs["batched"][1], field) == getattr(runs["tile"][1], field)
 
 
-# ------------------------------------------------------------ dispatch rules
+# ------------------------------------------------ strikes: block vs per-tile
+
+
+def _strike_outcome(driver, a, b, plan):
+    injector = FaultInjector(plan)
+    result = driver.gemm(a, b, injector=injector)
+    np.testing.assert_allclose(result.c, a @ b, rtol=1e-9, atol=1e-9)
+    records = [(r.site, r.invocation, r.index, r.tid)
+               for r in injector.canonical_records]
+    return records, (result.counters.errors_detected,
+                     result.counters.errors_corrected,
+                     result.counters.microkernel_calls)
+
+
+@pytest.mark.parametrize("model", [BitFlip(bit=52), StuckBit(bit=51)],
+                         ids=["bitflip", "stuckbit"])
+@pytest.mark.parametrize("team", [None, "simulated", "threads"])
+def test_block_strikes_match_tile_loop(rng, monkeypatch, model, team):
+    """The same plan strikes the same tile at the same index, with the same
+    outcome, whether the block is contracted at once or tile by tile."""
+    m, n, k = 37, 29, 23
+    a = rng.standard_normal((m, k))
+    b = rng.standard_normal((k, n))
+    config = FTGemmConfig(blocking=BlockingConfig.small(mr=4, nr=6),
+                          strict=False)
+    counts = None
+    if team is not None:
+        counts = site_invocation_counts_parallel(m, n, k, config.blocking, 3)
+    for seed in range(3):
+        plan = plan_for_gemm(m, n, k, config.blocking, 6, model=model,
+                             seed=seed, counts=counts)
+
+        def run():
+            if team is None:
+                return _strike_outcome(FTGemm(config), a, b, plan)
+            driver = ParallelFTGemm(config, n_threads=3, backend=team)
+            return _strike_outcome(driver, a, b, plan)
+
+        runs = _run_modes(monkeypatch, run)
+        assert runs["batched"][0] == runs["tile"][0]
+        if not (model.persistent and team == "threads"):
+            # a live stuck latch re-applies on whichever visits follow it,
+            # and real threads order those visits differently run to run
+            assert runs["batched"][1] == runs["tile"][1]
+
+
+# ------------------------------------------------------- the injected schedule
 
 
 def test_auto_picks_batched_on_clean_path(rng):
-    driver = BlockedGemm(BlockingConfig.small())  # dispatch="auto"
+    driver = BlockedGemm(BlockingConfig.small())
     driver.gemm(rng.standard_normal((10, 10)), rng.standard_normal((10, 10)))
     assert driver.last_mode == "batched"
 
 
-def test_on_tile_hook_forces_tile_mode(rng):
-    seen = []
-    driver = BlockedGemm(BlockingConfig.small(dispatch="batched"))
-    driver.gemm(
-        rng.standard_normal((10, 10)),
-        rng.standard_normal((10, 10)),
-        on_tile=lambda *args: seen.append(args),
-    )
-    assert driver.last_mode == "tile"
-    assert seen  # the hook really fired per tile
-
-
-def test_memory_sink_forces_tile_mode(rng):
+def test_memory_sink_replays_block_traffic(rng):
     from repro.simcpu.trace import AccessTrace
 
-    driver = BlockedGemm(BlockingConfig.small(dispatch="batched"), sink=AccessTrace())
-    driver.gemm(rng.standard_normal((10, 10)), rng.standard_normal((10, 10)))
-    assert driver.last_mode == "tile"
-
-
-@pytest.mark.parametrize("dispatch", ["auto", "batched"])
-def test_injector_forces_tile_and_detection_is_unchanged(rng, dispatch):
-    """Fault injection under dispatch="batched" behaves exactly like tile
-    mode: the run degrades to per-tile execution and every fault is still
-    detected, located and corrected."""
-    m = n = k = 24
-    a = rng.standard_normal((m, k))
-    b = rng.standard_normal((k, n))
-    results = {}
-    for mode in ("tile", dispatch):
-        config = FTGemmConfig(blocking=BlockingConfig.small(dispatch=mode))
-        plan = plan_for_gemm(m, n, k, config.blocking, 3, seed=99)
-        injector = FaultInjector(plan)
-        driver = FTGemm(config)
-        result = driver.gemm(a, b, injector=injector)
-        assert driver.last_mode == "tile"  # injected runs never batch
-        assert injector.n_injected == 3
-        assert result.verified
-        results[mode] = result
-    np.testing.assert_allclose(results[dispatch].c, a @ b, rtol=1e-9, atol=1e-9)
-    assert results[dispatch].detected == results["tile"].detected
-    assert results[dispatch].corrected == results["tile"].corrected
+    sink = AccessTrace()
+    a = rng.standard_normal((10, 10))
+    b = rng.standard_normal((10, 10))
+    out = BlockedGemm(BlockingConfig.small(), sink=sink).gemm(a, b)
+    np.testing.assert_allclose(out, a @ b, rtol=1e-11, atol=1e-11)
+    assert {"Atilde", "Btilde", "C"} <= {acc.label for acc in sink}
 
 
 @pytest.mark.parametrize("dispatch", ["auto", "batched"])
 def test_checksum_site_injection_keeps_batching(rng, dispatch):
-    """A strike on the checksum buffer never touches kernel state, so the
-    fast path stays batched: the checksum is re-derived and C is bit-for-bit
-    the clean result."""
+    """A strike on the checksum buffer never touches kernel state: the
+    checksum is re-derived and C is bit-for-bit the clean result. The
+    blocking comes from a tuning record written while configs still carried
+    a ``dispatch`` value; loading drops the retired key, and the call runs
+    the one block kernel whichever value the record held."""
     m = n = k = 24
     a = rng.standard_normal((m, k))
     b = rng.standard_normal((k, n))
-    config = FTGemmConfig(blocking=BlockingConfig.small(dispatch=dispatch))
-    clean_driver = FTGemm(config)
-    clean = clean_driver.gemm(a, b)
-    assert clean_driver.last_mode == "batched"
+    record = TunedConfig.from_blocking(BlockingConfig.small()).to_dict()
+    record["dispatch"] = dispatch
+    blocking = TunedConfig.from_dict(record).blocking()
+    assert blocking == BlockingConfig.small()
+    config = FTGemmConfig(blocking=blocking)
+    clean = FTGemm(config).gemm(a, b)
     plan = plan_for_gemm(
         m, n, k, config.blocking, 2, seed=5, sites=("checksum",)
     )
     injector = FaultInjector(plan)
     driver = FTGemm(config)
     result = driver.gemm(a, b, injector=injector)
-    assert driver.last_mode == "batched"  # checksum-only plans keep the fast path
+    assert driver.last_mode == "batched"
     assert injector.n_injected == 2
     assert result.verified
     np.testing.assert_array_equal(result.c, clean.c)  # C was never modified
@@ -264,17 +327,16 @@ def test_checksum_site_injection_keeps_batching_parallel(rng):
     np.testing.assert_array_equal(result.c, clean.c)
 
 
-def test_kernel_site_injection_still_degrades_parallel(rng):
-    """The counterpart guard: any kernel-site strike must still force the
-    parallel scheme down to per-tile execution."""
+def test_kernel_site_injection_corrected_parallel(rng):
     m, n, k = 22, 24, 16
     a = rng.standard_normal((m, k))
     b = rng.standard_normal((k, n))
     config = FTGemmConfig(blocking=BlockingConfig.small())
     driver = ParallelFTGemm(config, n_threads=2)
     plan = plan_for_gemm(m, n, k, config.blocking, 1, seed=5, sites=("pack_b",))
-    result = driver.gemm(a, b, injector=FaultInjector(plan))
-    assert driver.last_mode == "tile"
+    injector = FaultInjector(plan)
+    result = driver.gemm(a, b, injector=injector)
+    assert injector.n_injected == 1
     assert result.verified
     np.testing.assert_allclose(result.c, a @ b, rtol=1e-9, atol=1e-9)
 
@@ -286,7 +348,7 @@ def test_clean_call_after_injected_call_batches_again(rng):
     b = rng.standard_normal((16, 16))
     plan = plan_for_gemm(16, 16, 16, config.blocking, 1, seed=3)
     driver.gemm(a, b, injector=FaultInjector(plan))
-    assert driver.last_mode == "tile"
+    assert driver._injector is NULL_INJECTOR  # released with the call
     result = driver.gemm(a, b)
     assert driver.last_mode == "batched"
     assert result.verified
@@ -301,9 +363,8 @@ def test_loop_nest_never_allocates_packing_buffers(rng, monkeypatch, mode):
     """The loop nest always hands pack_a/pack_b an ``out=`` arena view, and
     once the workspace exists not a single fresh panel buffer (3-D
     ``np.zeros``) is allocated during a call."""
-    import repro.gemm.driver as driver_mod
-
-    driver = BlockedGemm(BlockingConfig.small(dispatch=mode))
+    use_mode(monkeypatch, mode)
+    driver = BlockedGemm(BlockingConfig.small())
     a = rng.standard_normal((37, 23))
     b = rng.standard_normal((23, 29))
     driver.gemm(a, b)  # builds the workspace

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.faults.campaign import site_invocation_counts
+from repro.faults.injector import FaultInjector, InjectionPlan
+from repro.faults.models import StuckValue
 from repro.gemm.blocking import BlockingConfig
 from repro.gemm.driver import AddressLayout, BlockedGemm
 from repro.gemm.reference import gemm_reference
@@ -91,15 +94,19 @@ def test_counters_flops_exact(rng, cfg):
     assert c.fma_flops == 9 * 2 * 4 * 4 * 8  # padded mr*nr*k per tile
 
 
-def test_on_tile_receives_writable_views(rng, cfg):
+def test_injector_visits_kernel_sites(rng, cfg):
+    """The unprotected driver owns the loop nest, so it visits every
+    kernel-layer site and a micro-kernel strike lands in C."""
     a = rng.standard_normal((8, 8))
     b = rng.standard_normal((8, 8))
-
-    def zap(tile, i0, j0):
-        tile[0, 0] = 1234.5
-
-    out = BlockedGemm(cfg).gemm(a, b, on_tile=zap)
+    plan = InjectionPlan(schedule={"microkernel": (0,)},
+                         model=StuckValue(value=1234.5))
+    injector = FaultInjector(plan)
+    out = BlockedGemm(cfg).gemm(a, b, injector=injector)
     assert (out == 1234.5).any()
+    counts = site_invocation_counts(8, 8, 8, cfg)
+    for site in ("pack_a", "pack_b", "microkernel"):
+        assert injector.invocations(site) == counts[site]
 
 
 def test_address_layout_non_overlapping():

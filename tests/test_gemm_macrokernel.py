@@ -1,8 +1,11 @@
-"""Macro kernel: tile sweep, fused reference checksums, hooks, counters."""
+"""Macro kernel: block contraction, tile strikes, fused reference
+checksums, counters."""
 
 import numpy as np
 import pytest
 
+from repro.faults.injector import FaultInjector, InjectionPlan
+from repro.faults.models import Additive
 from repro.gemm.macrokernel import macro_kernel
 from repro.gemm.packing import pack_a, pack_b
 from repro.simcpu.counters import Counters
@@ -66,31 +69,45 @@ def test_depth_mismatch(rng):
         macro_kernel(pack_a(a, 4), pack_b(b, 4), np.zeros((8, 8)))
 
 
-def test_on_tile_hook_sees_every_tile(rng):
-    seen = []
-    run_macro(rng, mlen=8, nlen=8, mr=4, nr=4,
-              on_tile=lambda tile, i0, j0: seen.append((i0, j0)))
-    assert sorted(seen) == [(0, 0), (0, 4), (4, 0), (4, 4)]
+def _every_tile_injector(n_tiles, magnitude=100.0):
+    plan = InjectionPlan(
+        schedule={"microkernel": tuple(range(n_tiles))},
+        model=Additive(magnitude=magnitude),
+    )
+    return FaultInjector(plan)
 
 
-def test_on_tile_corruption_lands_in_refs(rng):
-    """Faults injected by the hook must be visible to the fused reference
-    checksums (the hook runs before collection) — the property detection
-    relies on."""
+def test_injector_visits_every_tile(rng):
+    """Each M_R x N_R tile of the block is one micro-kernel visit, numbered
+    A-panel major; ragged edge tiles are their valid extent."""
+    injector = _every_tile_injector(12)
+    a, b, c0, c = run_macro(rng, mlen=11, nlen=13, mr=4, nr=4,
+                            injector=injector)
+    assert [r.invocation for r in injector.records] == list(range(12))
+    assert injector.invocations("microkernel") == 12
+    struck = {(4 * (r.invocation // 4) + r.index[0],
+               4 * (r.invocation % 4) + r.index[1]) for r in injector.records}
+    diff = np.argwhere(np.abs(c - (c0 + a @ b)) > 1.0)
+    assert {tuple(int(i) for i in d) for d in diff} == struck
+    last = injector.records[-1]  # tile (2, 3) is the 3 x 1 corner
+    assert last.index[0] < 3 and last.index[1] == 0
+
+
+def test_tile_strike_lands_in_refs(rng):
+    """A micro-kernel strike must be visible to the fused reference
+    checksums (the injector visits before collection) — the property
+    detection relies on."""
     row_ref = np.zeros(8)
     col_ref = np.zeros(8)
-
-    def corrupt_first(tile, i0, j0):
-        if i0 == 0 and j0 == 0:
-            tile[0, 0] += 100.0
-
+    injector = _every_tile_injector(1)
     a, b, c0, c = run_macro(
         rng, mlen=8, nlen=8, row_ref=row_ref, col_ref=col_ref,
-        on_tile=corrupt_first,
+        injector=injector,
     )
+    i, j = injector.records[0].index
     # refs match the *corrupted* C exactly
     np.testing.assert_allclose(row_ref, c.sum(axis=0), rtol=1e-12)
-    assert abs(c[0, 0] - (c0 + a @ b)[0, 0] - 100.0) < 1e-9
+    assert abs(c[i, j] - (c0 + a @ b)[i, j] - 100.0) < 1e-9
 
 
 def test_counters(rng):

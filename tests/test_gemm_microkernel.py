@@ -1,67 +1,6 @@
-"""Micro kernels: plain and fused."""
+"""Micro-kernel tile accounting."""
 
-import numpy as np
-import pytest
-
-from repro.gemm.microkernel import microkernel, microkernel_ft, tile_flops
-from repro.gemm.packing import pack_a, pack_b
-from repro.util.errors import ShapeError
-
-
-@pytest.fixture
-def rng():
-    return np.random.default_rng(1)
-
-
-def test_microkernel_equals_blas_tile(rng):
-    a = rng.standard_normal((20, 8))  # (k, mr)
-    b = rng.standard_normal((20, 6))  # (k, nr)
-    np.testing.assert_allclose(microkernel(a, b), a.T @ b)
-
-
-def test_microkernel_through_packed_panels(rng):
-    """A full small GEMM assembled only from packed panels + micro kernels."""
-    a = rng.standard_normal((8, 10))
-    b = rng.standard_normal((10, 12))
-    pa = pack_a(a, 4)
-    pb = pack_b(b, 4)
-    c = np.zeros((8, 12))
-    for ia in range(pa.n_panels):
-        for jb in range(pb.n_panels):
-            c[ia * 4 : ia * 4 + 4, jb * 4 : jb * 4 + 4] += microkernel(
-                pa.panel(ia), pb.panel(jb)
-            )
-    np.testing.assert_allclose(c, a @ b, rtol=1e-13)
-
-
-def test_microkernel_depth_mismatch(rng):
-    with pytest.raises(ShapeError, match="depth"):
-        microkernel(rng.standard_normal((5, 4)), rng.standard_normal((6, 4)))
-
-
-def test_microkernel_rejects_1d():
-    with pytest.raises(ShapeError):
-        microkernel(np.zeros(4), np.zeros((4, 4)))
-
-
-def test_microkernel_ft_updates_in_place_and_returns_sums(rng):
-    a = rng.standard_normal((10, 4))
-    b = rng.standard_normal((10, 6))
-    c = rng.standard_normal((4, 6))
-    expected = c + a.T @ b
-    rows, cols = microkernel_ft(a, b, c)
-    np.testing.assert_allclose(c, expected, rtol=1e-13)
-    np.testing.assert_allclose(rows, expected.sum(axis=0), rtol=1e-12)
-    np.testing.assert_allclose(cols, expected.sum(axis=1), rtol=1e-12)
-
-
-def test_microkernel_ft_shape_mismatch(rng):
-    with pytest.raises(ShapeError, match="tile"):
-        microkernel_ft(
-            rng.standard_normal((10, 4)),
-            rng.standard_normal((10, 6)),
-            np.zeros((4, 5)),
-        )
+from repro.gemm.macrokernel import tile_flops
 
 
 def test_tile_flops():

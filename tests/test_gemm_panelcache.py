@@ -132,24 +132,6 @@ def test_gemm_with_packed_b_alpha_beta(rng, config, blocking):
     )
 
 
-def test_gemm_with_packed_b_tile_dispatch(rng, blocking):
-    """An on_tile hook forces the per-tile macro kernel, which consumes
-    the cached panels through panel() views."""
-    config = FTGemmConfig(blocking=blocking)
-    a = rng.standard_normal((9, 23))
-    b = rng.standard_normal((23, 29))
-    tiles = []
-    result = FTGemm(config).gemm(
-        a,
-        b,
-        on_tile=lambda *args: tiles.append(args),
-        packed_b=encode_b(b, blocking),
-    )
-    assert result.verified
-    assert tiles
-    np.testing.assert_allclose(result.c, a @ b, rtol=1e-11, atol=1e-11)
-
-
 def test_packed_b_with_trans_b_rejected(rng, config, blocking):
     a = rng.standard_normal((9, 23))
     b = rng.standard_normal((29, 23))

@@ -128,10 +128,29 @@ def test_tuned_config_validates_at_construction():
 
 
 def test_tuned_config_dict_round_trip_filters_unknown_fields():
-    tuned = _tuned(dispatch="tile", threads=2, coalesce_limit=4)
+    tuned = _tuned(threads=2, coalesce_limit=4)
     data = tuned.to_dict()
     data["future_field"] = "ignored"  # forward compatibility
     assert TunedConfig.from_dict(data) == tuned
+
+
+def test_record_with_retired_dispatch_key_loads_and_resolves(tmp_path):
+    """DBs written while configs still carried a macro-kernel ``dispatch``
+    field keep loading, resolving and configuring the serving path."""
+    from repro.serve.execute import tuned_parts
+
+    machine = MachineSpec.cascade_lake_w2255()
+    db = _db(tmp_path, machine)
+    db.put(96, 48, 24, _tuned(threads=2))
+    db.save()
+    payload = json.loads(db.path.read_text())
+    for entry in payload["entries"].values():
+        entry["dispatch"] = "tile"
+    db.path.write_text(json.dumps(payload))
+    tuned = TuningDB.load(db.path, machine=machine).resolve(96, 48, 24)
+    assert tuned == _tuned(threads=2)
+    entry = next(iter(payload["entries"].values()))
+    assert tuned_parts(entry) == tuned_parts(tuned) == (tuned.blocking(), 2)
 
 
 def test_tuned_config_accepts_numpy_integers():
